@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oscpair.core import Params, State, assemble_matrix, energy
 from oscpair.sim import (
+    IntegrationError,
     asymptotic_propagator,
     explicit_solution_eps1_b1,
     integrate,
@@ -46,6 +50,14 @@ def test_operator_norm_degenerate_inputs():
     assert operator_norm(np.zeros((4, 4))) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_operator_norm_rejects_non_finite_input(bad):
+    m = np.eye(4)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(m)
+
+
 # ---------------------------------------------------------------------------
 # propagator
 # ---------------------------------------------------------------------------
@@ -62,6 +74,12 @@ def test_propagator_rejects_bad_times():
         propagator(p, math.nan)
     with pytest.raises(ValueError):
         propagator(p, -1.0)
+
+
+def test_propagator_overflow_raises_without_lapack_noise(capfd):
+    with pytest.raises(IntegrationError, match="overflow guard"):
+        propagator(Params(2.0, 1.0), 1e4)
+    assert capfd.readouterr().err == ""
 
 
 def test_propagator_matches_explicit_solution_at_defective_point():
@@ -137,6 +155,46 @@ def test_integrate_consistent_with_propagator_and_energy_balance():
         assert np.abs(resid).max() <= 100.0 * tol * e_scale
         step = np.abs(np.diff(traj.energies) - np.diff(traj.dissipated))
         assert step.max() <= tol * e_scale
+
+
+def _rk45_oracle(p: Params, z0: np.ndarray, t_end: float, samples: int):
+    """Adaptive RK45 on z' = A z, carrying the integral of eps*y^2 - x^2."""
+    m = assemble_matrix(p)
+
+    def rhs(t, zq):
+        out = np.empty(5)
+        out[:4] = m @ zq[:4]
+        out[4] = p.epsilon * zq[3] * zq[3] - zq[1] * zq[1]
+        return out
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, t_end),
+        np.append(z0, 0.0),
+        method="RK45",
+        rtol=1e-12,
+        atol=1e-12,
+        t_eval=np.linspace(0.0, t_end, samples + 1),
+    )
+    assert sol.success, sol.message
+    return sol.y[:4].T, sol.y[4]
+
+
+def test_integrate_matches_independent_rk45_solver():
+    rng = np.random.default_rng(3)
+    for p in SIM_GRID:
+        z0 = rng.standard_normal(4)
+        traj = integrate(p, State.from_array(z0), 10.0, samples=200)
+        states, dissipated = _rk45_oracle(p, z0, 10.0, 200)
+        scale = 1.0 + float(np.abs(states).max())
+        assert np.abs(traj.states - states).max() <= 1e-10 * scale
+        e_scale = 1.0 + 0.5 * scale * scale
+        assert np.abs(traj.dissipated - dissipated).max() <= 1e-10 * e_scale
+
+
+def test_integrate_overflow_raises_integration_error():
+    with pytest.raises(IntegrationError, match="overflow guard"):
+        integrate(Params(2.0, 1.0), State(1, 0, 0, 0), 1000.0)
 
 
 def test_integrate_matches_explicit_solution_over_long_window():
@@ -298,3 +356,17 @@ def test_no_recurrence_for_quadratic_irrational_ratio():
     periodic, period = periodic_portrait_check(math.sqrt(2.0))
     assert not periodic
     assert math.isnan(period)
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+def test_import_does_not_load_scipy_integrate():
+    out = subprocess.run(
+        [sys.executable, "-c", "import oscpair, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
