@@ -33,6 +33,7 @@ from .spectrum import (
     closed_form_eigenvalues,
     growth_bound,
     minimize_growth_bound,
+    palindromic_roots,
 )
 
 __all__ = ["Criterion", "CRITERIA", "run_all"]
@@ -46,36 +47,19 @@ class Criterion(NamedTuple):
     run: Callable[[], tuple[bool, str]]
 
 
-def _grid() -> list[Params]:
-    return [
-        Params(i / 10.0, j / 20.0)
-        for i in range(0, 21)
-        for j in range(1, 101)
-    ]
-
-
-def _hausdorff(a, b) -> float:
-    d1 = max(min(abs(x - y) for y in b) for x in a)
-    d2 = max(min(abs(x - y) for x in a) for y in b)
-    return max(d1, d2)
-
-
 def _criterion_1() -> tuple[bool, str]:
     """Closed-form roots: quartic residuals and eigensolver agreement."""
-    worst_res = 0.0
-    worst_match = 0.0
-    worst_match_def = 0.0
-    for p in _grid():
-        spectrum = closed_form_eigenvalues(p)
-        coeffs = [1.0, 1.0 - p.epsilon, 2.0 + p.b * p.b - p.epsilon, 1.0 - p.epsilon, 1.0]
-        for lam in spectrum.eigenvalues:
-            res = abs(np.polyval(coeffs, lam)) / (1.0 + abs(lam) ** 4)
-            worst_res = max(worst_res, res)
-        h = _hausdorff(spectrum.eigenvalues, np.linalg.eigvals(assemble_matrix(p)))
-        if abs(p.b - (1.0 + p.epsilon) / 2.0) < 1e-9:
-            worst_match_def = max(worst_match_def, h)
-        else:
-            worst_match = max(worst_match, h)
+    eps, b = (g.ravel() for g in np.meshgrid(np.arange(21) / 10.0, np.arange(1, 101) / 20.0))
+    lams = palindromic_roots(eps, b)
+    e, c = eps[:, None], b[:, None]  # Horner, as np.polyval on (1, 1-e, 2+c^2-e, 1-e, 1)
+    poly = (((lams + (1.0 - e)) * lams + (2.0 + c * c - e)) * lams + (1.0 - e)) * lams + 1.0
+    worst_res = float(np.max(np.abs(poly) / (1.0 + np.abs(lams) ** 4)))
+    eigs = np.linalg.eigvals([assemble_matrix(Params(*p)) for p in zip(eps.tolist(), b.tolist())])
+    dist = np.abs(lams[:, :, None] - eigs[:, None, :])
+    hausdorff = np.maximum(dist.min(axis=2).max(axis=1), dist.min(axis=1).max(axis=1))
+    defective = np.abs(b - (1.0 + eps) / 2.0) < 1e-9
+    worst_match = float(hausdorff[~defective].max())
+    worst_match_def = float(hausdorff[defective].max())
     ok = worst_res <= 1e-9 and worst_match <= 1e-8 and worst_match_def <= 1e-4
     return ok, (
         f"scaled residual {worst_res:.2e} (<=1e-9), oracle distance "

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -25,6 +26,7 @@ from .figures import FIGURE_IDS, default_figure_spec, write_figure
 from .modal import family_growth_bound, load_mode_family, threshold_check
 from .sim import FitError, IntegrationError
 from .spectrum import RegimeKind, classify, closed_form_eigenvalues
+from .spectrum import dominant_defects, palindromic_roots, root_defects
 
 __all__ = ["main"]
 
@@ -53,7 +55,9 @@ def _parse_state(text: str) -> State:
         raise _UsageError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="oscpair", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,12 +137,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("--n must be >= 2")
     if not (0 < args.b_min < args.b_max):
         raise _UsageError("need 0 < b-min < b-max")
-    rows = []
-    for b in np.linspace(args.b_min, args.b_max, args.n):
-        p = Params(args.epsilon, float(b))
-        spectrum = closed_form_eigenvalues(p)
-        rows.append((float(b), spectrum.omega_star, spectrum.dominant_defect()))
-    best = min(rows, key=lambda r: r[1])
+    Params(args.epsilon, args.b_max)  # validates epsilon and the range end
+    grid = np.linspace(args.b_min, args.b_max, args.n)
+    roots = palindromic_roots(args.epsilon, grid)
+    omega = roots.real.max(axis=-1)
+    defect = dominant_defects(roots, root_defects(args.epsilon, grid))
+    rows = list(zip(grid.tolist(), omega.tolist(), defect.tolist()))
+    best = rows[int(np.argmin(omega))]
     lines = ["b,omega_star,defect"]
     lines += [f"{b!r},{w!r},{d}" for b, w, d in rows]
     argmin_line = f"# argmin b={best[0]!r} omega_star={best[1]!r} defect={best[2]}"

@@ -16,12 +16,10 @@ still b = (1+eps)/2, but the achievable rate degrades when the first
 operator eigenvalue is small: the full rate (1-eps)/4 is recovered
 exactly when mu >= (1-eps)^2/16.
 
-Mode growth bounds use a dense eigensolver (the closed forms of the
-spectrum module are specific to mu = 1) followed by cluster averaging:
-a defective double root computed by LAPACK splits by ~sqrt(machine eps),
-but the mean of the split pair is coefficient-accurate, so replacing
-each root cluster by its mean restores ~1e-13 accuracy exactly at the
-defective modes the analysis cares about.
+The quartic is palindromic in lam/sqrt(mu), so growth bounds come from
+the closed forms of :func:`oscpair.spectrum.palindromic_roots`, a whole
+family in one array call, exact even at the quadruple root (eps-1)/4 on
+the threshold with b = (1+eps)/2, which an eigensolver splits.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .core import Params, assemble_matrix
+from .spectrum import palindromic_roots
 
 __all__ = [
     "ModeFamily",
@@ -46,12 +45,6 @@ __all__ = [
     "load_mode_family",
     "dirichlet_modes",
 ]
-
-# Cluster radii by multiplicity: a defect-d root computed in double
-# precision splits like eps_machine^(1/(d+1)), so wider radii are needed
-# (and safe) only when more roots coalesce.
-_CLUSTER_RADIUS = {4: 1e-3, 3: 1e-4, 2: 1e-6}
-
 
 @dataclass(frozen=True)
 class ModeFamily:
@@ -121,50 +114,11 @@ def mode_characteristic_coeffs(mu: float, p: Params) -> tuple[float, float, floa
     return (1.0, 1.0 - eps, 2.0 * mu + b * b - eps, mu * (1.0 - eps), mu * mu)
 
 
-def _cluster_representatives(eigs: np.ndarray) -> list[complex]:
-    """Collapse root clusters to their means, largest multiplicity first.
-
-    Means of clusters are insensitive to the sqrt-of-eps splitting of
-    defective roots, which individual eigenvalues are not.
-    """
-    eigs = list(eigs)
-    scale = 1.0 + max(abs(e) for e in eigs)
-    n = len(eigs)
-
-    if n == 4:
-        spread = max(abs(x - y) for x in eigs for y in eigs)
-        if spread <= _CLUSTER_RADIUS[4] * scale:
-            return [sum(eigs) / 4.0]
-        for drop in range(4):
-            trio = [e for k, e in enumerate(eigs) if k != drop]
-            if max(abs(x - y) for x in trio for y in trio) <= _CLUSTER_RADIUS[3] * scale:
-                return [sum(trio) / 3.0, eigs[drop]]
-
-    order = sorted(range(n), key=lambda k: (eigs[k].real, eigs[k].imag))
-    used = [False] * n
-    reps: list[complex] = []
-    for pos, k in enumerate(order):
-        if used[k]:
-            continue
-        used[k] = True
-        partner = None
-        best = _CLUSTER_RADIUS[2] * scale
-        for m in order[pos + 1:]:
-            if not used[m] and abs(eigs[k] - eigs[m]) <= best:
-                best = abs(eigs[k] - eigs[m])
-                partner = m
-        if partner is None:
-            reps.append(eigs[k])
-        else:
-            used[partner] = True
-            reps.append(0.5 * (eigs[k] + eigs[partner]))
-    return reps
-
-
 def mode_growth_bound(mu: float, p: Params) -> float:
     """Max real part of the mode-system eigenvalues at stiffness mu."""
-    eigs = np.linalg.eigvals(mode_matrix(mu, p))
-    return float(max(rep.real for rep in _cluster_representatives(eigs)))
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    return float(palindromic_roots(p.epsilon, p.b, mu).real.max())
 
 
 class FamilyBound(NamedTuple):
@@ -183,19 +137,19 @@ def family_growth_bound(f: ModeFamily, p: Params, tail_check: int = 8) -> Family
     growing tail would mean the finite truncation says nothing about the
     full family.  A non-stabilizing tail raises ArithmeticError.
     """
-    bounds = [mode_growth_bound(mu, p) for mu in f.mu]
-    top = max(bounds)
-    index = next(k for k, g in enumerate(bounds) if g >= top - 1e-9 * (1.0 + abs(top)))
+    bounds = palindromic_roots(p.epsilon, p.b, np.array(f.mu)).real.max(axis=-1)
+    top = float(bounds.max())
+    index = int(np.argmax(bounds >= top - 1e-9 * (1.0 + abs(top))))
 
-    tail = bounds[-min(tail_check, len(bounds)):]
-    diffs = [abs(tail[k + 1] - tail[k]) for k in range(len(tail) - 1)]
+    diffs = np.abs(np.diff(bounds[-min(tail_check, len(bounds)):]))
     floor = 1e-10 * (1.0 + abs(top))
-    for k in range(len(diffs) - 1):
-        if diffs[k + 1] > diffs[k] and diffs[k + 1] > floor:
-            raise ArithmeticError(
-                f"mode tail not stabilizing: |diff| grows from {diffs[k]:.3e} "
-                f"to {diffs[k + 1]:.3e} near mode {len(bounds) - len(diffs) + k}"
-            )
+    grows = (diffs[1:] > diffs[:-1]) & (diffs[1:] > floor)
+    if grows.any():
+        k = int(np.argmax(grows))
+        raise ArithmeticError(
+            f"mode tail not stabilizing: |diff| grows from {diffs[k]:.3e} "
+            f"to {diffs[k + 1]:.3e} near mode {len(bounds) - len(diffs) + k}"
+        )
     return FamilyBound(value=top, index=index, mu=f.mu[index])
 
 

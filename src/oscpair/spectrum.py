@@ -1,20 +1,22 @@
 """Closed-form spectrum, regime classification, and optimal coupling.
 
-The eigenvalues of the system matrix are the roots of the quartic
+The eigenvalues of the system matrix (mu = 1), and of each mode of the
+modal extension (:mod:`oscpair.modal`), are the roots of the quartic
 
-    lam^4 + (1-eps)*lam^3 + (2 + b^2 - eps)*lam^2 + (1-eps)*lam + 1 = 0
+    lam^4 + (1-eps)*lam^3 + (2*mu + b^2 - eps)*lam^2 + mu*(1-eps)*lam + mu^2 = 0.
 
-and are available in closed form once the complex square root is pinned
-to the branch whose argument lies in (-pi/2, pi/2].  With
+It is palindromic in lam/sqrt(mu): w = lam + mu/lam solves the quadratic
+w^2 + (1-eps)*w + (b^2-eps) = 0, independent of mu, so w+- = (eps-1 +- a)/2
+with a = sqrt((1+eps)^2 - 4 b^2), and each w splits into the pair
+lam = (w +- sqrt(w^2 - 4 mu))/2 of product mu.  With every square root on
+the branch whose argument lies in (-pi/2, pi/2], the library's fixed
+order is lam1, lam3 = the + and - roots of w+, and lam2, lam4 those of w-.
 
-    a = sqrt((1+eps)^2 - 4 b^2)
-
-the four roots, in the library's fixed order, are
-
-    lam1 = (eps - 1 + a + sqrt(2*(-7 + eps^2 - 2b^2 - (1-eps)*a))) / 4
-    lam2 = (eps - 1 - a + sqrt(2*(-7 + eps^2 - 2b^2 + (1-eps)*a))) / 4
-    lam3 = (eps - 1 + a - sqrt(2*(-7 + eps^2 - 2b^2 - (1-eps)*a))) / 4
-    lam4 = (eps - 1 - a - sqrt(2*(-7 + eps^2 - 2b^2 + (1-eps)*a))) / 4
+For b > 0 every eigenvalue has geometric multiplicity 1, so its defect
+is its algebraic multiplicity minus one, decided on the parameters at
+``BOUNDARY_RTOL`` like the regime boundaries: a = 0 (b = (1+eps)/2)
+makes every root double, w = +-2 sqrt(mu) the pair of that w (at mu = 1
+a double root lam = 1 on b^2 = 3 eps - 6), both at once a quadruple one.
 
 The growth bound omega* = max_i Re(lam_i) determines the long-time
 behavior of the propagator norm, up to a polynomial factor t^d when the
@@ -43,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, assemble_matrix
+from .core import Params
 
 __all__ = [
     "RANK_TOL",
@@ -54,6 +56,9 @@ __all__ = [
     "branch_sqrt",
     "quartic_coeffs",
     "characteristic_poly_coeffs",
+    "palindromic_roots",
+    "root_defects",
+    "dominant_defects",
     "closed_form_eigenvalues",
     "eigenvalue_defect",
     "growth_bound",
@@ -67,11 +72,11 @@ __all__ = [
 # gap between "zero" and "tiny but honest" singular values is wide.
 RANK_TOL = 1e-8
 
-# Radius used to cluster quartic roots when counting algebraic multiplicity.
+# Radius used to cluster eigenvalues when counting algebraic multiplicity.
 CLUSTER_TOL = 1e-6
 
 # Relative tolerance for detecting the exact parameter relations (eps = 1,
-# b = 1, b = sqrt(eps)) that decide regime boundaries.
+# b = 1, b = sqrt(eps), b = (1+eps)/2, ...) that decide regimes and defects.
 BOUNDARY_RTOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -107,6 +112,89 @@ def characteristic_poly_coeffs(p: Params) -> tuple[float, float, float, float, f
     return quartic_coeffs(p.epsilon, p.b)
 
 
+def _is_close(x, target):
+    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(target)))
+    return np.abs(x - target) <= BOUNDARY_RTOL * scale
+
+
+_BLOCK = 1024  # points per array evaluation: temporaries stay near 0.3 MB
+_SIGNS = np.array([1.0, -1.0])  # the two sign choices of a pair, along the last axis
+
+
+def _vieta(direct, product):
+    """Root pairs along the last axis, the one of strictly smaller modulus
+    (which cancels when computed directly) replaced by product / other."""
+    size = np.abs(direct)
+    return np.where(size < size[..., ::-1], product / direct[..., ::-1], direct)
+
+
+def palindromic_roots(epsilon, b, mu=1.0) -> np.ndarray:
+    """Roots lam1..lam4 of the (mode) quartic, over broadcast numpy arrays.
+
+    Returns the arguments' broadcast shape plus a last axis of length 4,
+    evaluated in blocks of ``_BLOCK`` points.  Of each pair (w+, w- or the
+    two lam of one w) the smaller root is the pair's product over the
+    larger, and neither (1+eps)^2 nor w^2 is formed at full scale.  Raises
+    ArithmeticError on a non-finite root (mu < 0, say).
+    """
+    e, c, m = (np.asarray(v, dtype=float) for v in (epsilon, b, mu))
+    if max(e.size, c.size, m.size) > _BLOCK:
+        shape = np.broadcast_shapes(e.shape, c.shape, m.shape)
+        e, c, m = (np.broadcast_to(x, shape).ravel() for x in (e, c, m))
+        parts = [palindromic_roots(e[k:k + _BLOCK], c[k:k + _BLOCK], m[k:k + _BLOCK])
+                 for k in range(0, e.size, _BLOCK)]
+        return np.concatenate(parts).reshape(shape + (4,))
+    e, c, m = e[..., None], c[..., None], m[..., None]
+    with np.errstate(all="ignore"):
+        # a/2 = sqrt((half - b)(half + b)), exactly 0 when b is the float (1+eps)/2
+        half = 0.5 * (1.0 + e)
+        half_a = np.sqrt((half - c) + 0j) * np.sqrt(half + c)
+        w = _vieta(0.5 * (e - 1.0) + _SIGNS * half_a, c * c - e)
+        # sqrt(w^2 - r^2), r = 2 sqrt(mu), scaled by a power of two; the real
+        # part as (x-r)(x+r), exact near a double root.  Adding 2j*x*y turns a
+        # -0.0 imaginary part into +0.0, the upward branch rule of branch_sqrt.
+        r = 2.0 * np.sqrt(m)
+        scale = np.ldexp(1.0, 2 - np.frexp(np.maximum(np.abs(w), r))[1])
+        x, y, v = w.real * scale, w.imag * scale, r * scale
+        s = np.sqrt((x - v) * (x + v) - y * y + 2j * x * y) / scale
+        # lam[..., i, j]: root of w_i with sign j of the square root
+        lam = _vieta((0.5 * w)[..., None] + (0.5 * s)[..., None] * _SIGNS, m[..., None])
+        roots = lam.swapaxes(-1, -2).reshape(lam.shape[:-2] + (4,))
+    if not np.isfinite(roots).all():
+        raise ArithmeticError(
+            f"spectrum not finite in double precision at eps={epsilon!r}, b={b!r}, mu={mu!r}"
+        )
+    return roots
+
+
+def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
+    """Defects of lam1..lam4, decided on the parameters at ``BOUNDARY_RTOL``.
+
+    Broadcasts like :func:`palindromic_roots`.  With r = 2 sqrt(mu),
+    b = (1+eps)/2 gives defect 1 everywhere (3 if also |1-eps|/2 = r), and
+    b^2 = (1+r)(eps-r) or (1-r)(eps+r) defect 1 to the pair of w = r or -r.
+    """
+    e, c, m = (np.asarray(v, dtype=float)[..., None] for v in (epsilon, b, mu))
+    r = 2.0 * np.sqrt(m)
+    merged = _is_close(c, 0.5 * (1.0 + e))
+    # last axis: w = +r, w = -r; the pair of that w is on w+ when 2w >= eps - 1
+    with np.errstate(over="ignore"):
+        target = (1.0 + _SIGNS * r) * (e - _SIGNS * r)
+    double = (target > 0.0) & _is_close(c, np.sqrt(np.maximum(target, 0.0)))
+    on_plus = 2.0 * _SIGNS * r >= e - 1.0
+    pair = (double[..., None] & np.stack((on_plus, ~on_plus), axis=-1)).any(axis=-2)
+    pair = np.where(merged, 1 + 2 * _is_close(0.5 * np.abs(e - 1.0), r), pair)
+    return np.concatenate((pair, pair), axis=-1)
+
+
+def dominant_defects(roots, defects, tol: float = 1e-9) -> np.ndarray:
+    """Largest defect among roots within tol*(1+|max|) of max Re, over the last axis."""
+    real = np.real(roots)
+    top = real.max(axis=-1, keepdims=True)
+    attained = real >= top - tol * (1.0 + np.abs(top))
+    return np.where(attained, defects, 0).max(axis=-1)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Four eigenvalues in the fixed closed-form order, with defects.
@@ -126,50 +214,20 @@ class Spectrum:
 
     def dominant_defect(self, tol: float = 1e-9) -> int:
         """Largest defect among eigenvalues attaining the growth bound."""
-        top = self.omega_star
-        return max(
-            d for lam, d in zip(self.eigenvalues, self.defects)
-            if lam.real >= top - tol * (1.0 + abs(top))
-        )
-
-
-def _closed_form_roots(epsilon: float, b: float) -> tuple[complex, complex, complex, complex]:
-    a = branch_sqrt((1.0 + epsilon) ** 2 - 4.0 * b * b)
-    base = -7.0 + epsilon * epsilon - 2.0 * b * b
-    s_minus = branch_sqrt(2.0 * (base - (1.0 - epsilon) * a))
-    s_plus = branch_sqrt(2.0 * (base + (1.0 - epsilon) * a))
-    quarter = 0.25
-    em1 = epsilon - 1.0
-    return (
-        quarter * (em1 + a + s_minus),
-        quarter * (em1 - a + s_plus),
-        quarter * (em1 + a - s_minus),
-        quarter * (em1 - a - s_plus),
-    )
+        return int(dominant_defects(np.array(self.eigenvalues), np.array(self.defects), tol))
 
 
 def closed_form_eigenvalues(p: Params) -> Spectrum:
     """Eigenvalues lam1..lam4 from the closed-form expressions.
 
-    The ordering is fixed by the two square-root sign choices above, so
-    per-index identities (e.g. lam4 = -lam1 at eps = 1) are stable
-    contracts.  Defects are computed from the assembled matrix via
-    :func:`eigenvalue_defect`, once per distinct eigenvalue.
+    The ordering is fixed by the two square-root sign choices of the
+    module docstring, so per-index identities (e.g. lam4 = -lam1 at
+    eps = 1) are stable contracts.  Defects are decided on the parameters
+    by :func:`root_defects`.
     """
-    lams = _closed_form_roots(p.epsilon, p.b)
-    m = assemble_matrix(p)
-    defects = [0, 0, 0, 0]
-    done: list[tuple[complex, int]] = []
-    for i, lam in enumerate(lams):
-        for seen, d in done:
-            if abs(lam - seen) <= CLUSTER_TOL:
-                defects[i] = d
-                break
-        else:
-            d = eigenvalue_defect(m, lam)
-            defects[i] = d
-            done.append((lam, d))
-    return Spectrum(eigenvalues=lams, defects=tuple(defects))
+    lams = palindromic_roots(p.epsilon, p.b)
+    defects = root_defects(p.epsilon, p.b)
+    return Spectrum(eigenvalues=tuple(lams.tolist()), defects=tuple(defects.tolist()))
 
 
 def eigenvalue_defect(
@@ -207,7 +265,7 @@ def eigenvalue_defect(
 
 def growth_bound(p: Params) -> float:
     """Growth bound omega* = max real part of the four eigenvalues."""
-    return max(lam.real for lam in _closed_form_roots(p.epsilon, p.b))
+    return float(palindromic_roots(p.epsilon, p.b).real.max())
 
 
 class RegimeKind(Enum):
@@ -234,10 +292,6 @@ class Regime:
     @property
     def degree(self) -> int:
         return self.defect_penalty
-
-
-def _is_close(x: float, target: float) -> bool:
-    return abs(x - target) <= BOUNDARY_RTOL * max(1.0, abs(x), abs(target))
 
 
 def classify(p: Params) -> Regime:
@@ -308,28 +362,27 @@ def minimize_growth_bound(
     the growth bound has a square-root cusp, so its value resolves the
     minimizer location only to sqrt(eps_machine) and ordinary bracketing
     stalls ~1e-8 above the true minimum.  Scanning ulp-by-ulp recovers
-    the exact floating-point argmin.
+    the exact floating-point argmin; all scanned floats are evaluated in
+    one array call and the first minimum wins.
 
-    Returns (b_opt, omega*(b_opt)).
+    Requires 0 <= b_lo < b_hi.  Returns (b_opt, omega*(b_opt)).
     """
+    if not 0.0 <= b_lo < b_hi:
+        raise ValueError(f"need 0 <= b_lo < b_hi, got [{b_lo!r}, {b_hi!r}]")
+
     def f(b: float) -> float:
-        return max(lam.real for lam in _closed_form_roots(epsilon, b))
+        return float(palindromic_roots(epsilon, b).real.max())
 
     lo, hi = _golden_section(f, b_lo, b_hi)
-    x = max(b_lo, math.nextafter(lo, -math.inf))
-    for _ in range(scan_ulps // 2):
-        nxt = math.nextafter(x, -math.inf)
-        if nxt < b_lo or lo - nxt > scan_ulps * math.ulp(lo):
-            break
-        x = nxt
-    best_x, best_f = x, f(x)
-    stop = min(b_hi, hi + scan_ulps * math.ulp(hi))
-    while x < stop:
-        x = math.nextafter(x, math.inf)
-        fx = f(x)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+    # consecutive non-negative floats have consecutive int64 bit patterns
+    first = np.float64(max(b_lo, math.nextafter(lo, -math.inf))).view(np.int64)
+    below = (first - np.arange(1, scan_ulps // 2 + 1, dtype=np.int64)).view(np.float64)
+    room = int(np.count_nonzero((below >= b_lo) & (lo - below <= scan_ulps * math.ulp(lo))))
+    stop = np.float64(min(b_hi, hi + scan_ulps * math.ulp(hi))).view(np.int64)
+    xs = np.arange(first - room, stop + 1, dtype=np.int64).view(np.float64)
+    values = palindromic_roots(epsilon, xs).real.max(axis=-1)
+    k = int(np.argmin(values))
+    return float(xs[k]), float(values[k])
 
 
 def optimal_coupling(

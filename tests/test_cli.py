@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from oscpair import cli
 from oscpair.cli import main
 
 
@@ -194,3 +195,32 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert "kind=ExpDecay" in out.stdout
+
+
+def test_classify_quadruple_root(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--epsilon", "5", "--b", "3")
+    assert code == 0
+    rec = record(out)
+    assert rec["kind"] == "ExpBlowup"
+    assert float(rec["omega_star"]) == 1.0
+    assert rec["defect"] == "3"
+    assert rec["defects"] == "3,3,3,3"
+
+
+def test_repeated_calls_in_one_process_match_fresh_parsers(capsys):
+    # the parser is built once per process; reusing it must not change results
+    calls = [
+        ("classify", "--epsilon", "0.5", "--b", "0.75"),
+        ("sweep", "--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8", "--n", "11"),
+        ("classify", "--epsilon", "-1", "--b", "2"),  # usage error
+        ("accept", "--only", "3"),
+        ("sweep", "--epsilon", "0", "--b-min", "0.4", "--b-max", "0.6", "--n", "5"),
+        ("classify", "--epsilon", "1", "--b", "1"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert [r[:2] for r in reused] == [f[:2] for f in fresh]
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0]

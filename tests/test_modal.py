@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oscpair.core import Params, assemble_matrix
 from oscpair.modal import (
@@ -14,7 +16,7 @@ from oscpair.modal import (
     mode_matrix,
     threshold_check,
 )
-from oscpair.spectrum import growth_bound
+from oscpair.spectrum import growth_bound, palindromic_roots, root_defects
 
 
 def test_mode_matrix_reduces_to_base_system_at_unit_stiffness():
@@ -162,3 +164,58 @@ def test_load_mode_family_from_text(tmp_path):
     assert len(f) == 3
     assert f.mu[0] == pytest.approx(math.pi**2)
     assert f.label == str(path)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the palindromic modal core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps,b", [(0.5, 0.75), (0.0, 0.5), (0.3, 0.9), (1.7, 0.9), (0.9, 1.2)])
+def test_mode_roots_match_mpmath_at_large_stiffness(eps, b):
+    mp = pytest.importorskip("mpmath")
+    mu = 1e4
+    with mp.workprec(200):
+        m_eps, m_b = mp.mpf(eps), mp.mpf(b)
+        a = mp.sqrt(mp.mpc((1 + m_eps) ** 2 - 4 * m_b * m_b))
+        exact = []
+        for w in ((m_eps - 1 + a) / 2, (m_eps - 1 - a) / 2):
+            s = mp.sqrt(w * w - 4 * mu)
+            exact += [(w + s) / 2, (w - s) / 2]
+        for lam in palindromic_roots(eps, b, mu):
+            assert min(abs(mp.mpc(lam) - x) / abs(x) for x in exact) <= 1e-15
+        omega = float(max(x.real for x in exact))
+    assert abs(mode_growth_bound(mu, Params(eps, b)) - omega) <= 1e-15
+
+
+def test_threshold_gives_exact_quadruple_root():
+    eps = 0.5
+    mu = (1.0 - eps) ** 2 / 16.0
+    p = Params(eps, (1.0 + eps) / 2.0)
+    assert palindromic_roots(eps, p.b, mu).tolist() == [-0.125] * 4
+    assert root_defects(eps, p.b, mu).tolist() == [3] * 4
+    assert mode_growth_bound(mu, p) == -0.125
+
+
+def _near_double_root(lams) -> bool:
+    scale = 1.0 + max(abs(z) for z in lams)
+    return min(abs(x - y) for i, x in enumerate(lams) for y in lams[i + 1:]) < 1e-3 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(0.0, 3.0), b=st.floats(0.01, 10.0), mu=st.floats(1e-3, 1e4))
+def test_mode_roots_match_dense_eigensolver(eps, b, mu):
+    lams = palindromic_roots(eps, b, mu)
+    assume(not _near_double_root(lams))
+    oracle = np.linalg.eigvals(mode_matrix(mu, Params(eps, b)))
+    d1 = max(min(abs(x - y) for y in oracle) for x in lams)
+    d2 = max(min(abs(x - y) for x in lams) for y in oracle)
+    assert max(d1, d2) <= 1e-8 * (1.0 + max(abs(z) for z in lams))
+
+
+def test_family_bound_equals_per_mode_bounds():
+    p = Params(0.4, 1.3)
+    family = ModeFamily(10.0 ** np.linspace(-3, 4, 57))
+    bounds = [mode_growth_bound(mu, p) for mu in family.mu]
+    got = family_growth_bound(family, p)
+    assert got.value == max(bounds)
+    assert got.index == bounds.index(max(bounds))

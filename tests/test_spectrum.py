@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oscpair.core import Params, assemble_matrix
 from oscpair.spectrum import (
     RegimeKind,
+    _golden_section,
     branch_sqrt,
     characteristic_poly_coeffs,
     classify,
@@ -17,7 +18,9 @@ from oscpair.spectrum import (
     growth_bound,
     minimize_growth_bound,
     optimal_coupling,
+    palindromic_roots,
     quartic_coeffs,
+    root_defects,
 )
 
 GRID = [
@@ -316,3 +319,180 @@ def test_quartic_matches_matrix_expansion_on_grid():
             characteristic_poly_coeffs(p),
             atol=1e-10,
         )
+
+
+# ---------------------------------------------------------------------------
+# palindromic core: exact Jordan structure, large parameters, minimizer scan
+# ---------------------------------------------------------------------------
+
+def jordan_defects(eps, b, mu=1):
+    """Defect of each distinct eigenvalue, from sympy's exact Jordan form."""
+    sp = pytest.importorskip("sympy")
+    m = sp.Matrix([[0, 1, 0, 0], [-mu, -1, 0, b], [0, 0, 0, 1], [0, -b, -mu, eps]])
+    _, jordan = m.jordan_form()
+    blocks: dict = {}
+    i = 0
+    while i < 4:
+        size = 1
+        while i + size < 4 and jordan[i + size - 1, i + size] == 1:
+            size += 1
+        blocks.setdefault(complex(sp.N(jordan[i, i], 30)), []).append(size)
+        i += size
+    return {lam: sum(sizes) - len(sizes) for lam, sizes in blocks.items()}
+
+
+@pytest.mark.parametrize(
+    "eps,b,mu",
+    [
+        ("5", "3", "1"),  # quadruple root lam = 1
+        ("3", "sqrt(3)", "1"),  # double real root lam = 1 on w+
+        ("6", "sqrt(12)", "1"),  # double real root lam = 1 on w-
+        ("2", "1", "1"),  # no repeated root
+        ("1/2", "3/4", "1/64"),  # modal threshold: quadruple root -1/8
+        ("1/2", "sqrt(14)/5", "1/100"),  # w = -2 sqrt(mu): b^2 = (1-r)(eps+r)
+    ],
+)
+def test_defects_match_exact_jordan_structure(eps, b, mu):
+    sp = pytest.importorskip("sympy")
+    eps, b, mu = (sp.sympify(v) for v in (eps, b, mu))
+    exact = jordan_defects(eps, b, mu)
+    lams = palindromic_roots(float(eps), float(b), float(mu))
+    defects = root_defects(float(eps), float(b), float(mu))
+    for lam, d in zip(lams, defects):
+        nearest = min(exact, key=lambda z: abs(z - lam))
+        assert abs(nearest - lam) <= 1e-7
+        assert d == exact[nearest], (lam, defects, exact)
+
+
+def test_quadruple_root_at_eps_five():
+    spec = closed_form_eigenvalues(Params(5.0, 3.0))
+    assert spec.eigenvalues == (1.0, 1.0, 1.0, 1.0)
+    assert spec.defects == (3, 3, 3, 3)
+    regime = classify(Params(5.0, 3.0))
+    assert regime.kind is RegimeKind.EXP_BLOWUP
+    assert regime.omega_star == 1.0 and regime.defect_penalty == 3
+
+
+def test_double_real_root_at_eps_three():
+    spec = closed_form_eigenvalues(Params(3.0, math.sqrt(3.0)))
+    assert spec.defects == (1, 0, 1, 0)
+    assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-7)
+    assert spec.eigenvalues[2] == pytest.approx(1.0, abs=1e-7)
+    assert classify(Params(3.0, math.sqrt(3.0))).defect_penalty == 1
+
+
+def test_grid_defects_match_svd_rank_oracle():
+    for p in GRID:
+        spec = closed_form_eigenvalues(p)
+        m = assemble_matrix(p)
+        for lam, d in zip(spec.eigenvalues, spec.defects):
+            assert eigenvalue_defect(m, lam) == d, (p, lam)
+
+
+def mp_roots(eps, b, mu=1.0):
+    """The four roots in the fixed order, in 2400-bit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(2400):
+        eps, b, mu = mp.mpf(eps), mp.mpf(b), mp.mpf(mu)
+        a = mp.sqrt(mp.mpc((1 + eps) ** 2 - 4 * b * b))
+        pairs = []
+        for w in ((eps - 1 + a) / 2, (eps - 1 - a) / 2):
+            s = mp.sqrt(w * w - 4 * mu)
+            pairs.append(((w + s) / 2, (w - s) / 2))
+        return [pairs[0][0], pairs[1][0], pairs[0][1], pairs[1][1]]
+
+
+def test_large_coupling_growth_bound_is_exact():
+    # the small root of each pair is mu/big, not a cancelled difference
+    assert growth_bound(Params(0.5, 1e8)) == pytest.approx(-2.5e-17, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps,b", [(0.5, 1e8), (0.5, 1e100), (1e155, 1.0), (1e6, 1e300)])
+def test_extreme_parameters_against_mpmath(eps, b):
+    mp = pytest.importorskip("mpmath")
+    p = Params(eps, b)
+    want = mp_roots(eps, b)
+    spec = closed_form_eigenvalues(p)
+    for lam, exact in zip(spec.eigenvalues, want):
+        assert abs(mp.mpc(lam) - exact) <= 1e-14 * abs(exact)
+    omega = max(x.real for x in want)
+    assert growth_bound(p) == pytest.approx(float(omega), rel=1e-12)
+    regime = classify(p)
+    assert math.isfinite(regime.omega_star)
+    assert (regime.omega_star > 0) == (omega > 0)
+    assert regime.kind is (RegimeKind.EXP_DECAY if eps < 1 else RegimeKind.EXP_BLOWUP)
+
+
+@given(
+    eps=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    b=st.floats(1e-300, 1e300),
+)
+def test_core_relative_accuracy_against_mpmath(eps, b):
+    mp = pytest.importorskip("mpmath")
+    lams = palindromic_roots(eps, b)
+    assert np.all(np.isfinite(lams))
+    # a root next to a double root moves like the square root of a rounding
+    pairs = [(x, y) for i, x in enumerate(lams) for y in lams[:i]]
+    assume(all(abs(x - y) > 1e-4 * max(abs(x), abs(y)) for x, y in pairs))
+    for lam, exact in zip(lams, mp_roots(eps, b)):
+        assert abs(mp.mpc(lam) - exact) <= 1e-12 * abs(exact)
+
+
+def test_core_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(3)
+    eps, b, mu = rng.uniform(0, 3, 40), rng.uniform(0.01, 5, 40), 10.0 ** rng.uniform(-3, 4, 40)
+    lams, defects = palindromic_roots(eps, b, mu), root_defects(eps, b, mu)
+    assert lams.shape == (40, 4) and defects.shape == (40, 4)
+    for k in range(40):
+        np.testing.assert_allclose(lams[k], palindromic_roots(eps[k], b[k], mu[k]), rtol=1e-15)
+        assert np.array_equal(defects[k], root_defects(eps[k], b[k], mu[k]))
+    assert palindromic_roots(0.5, b[:7]).shape == (7, 4)
+    assert palindromic_roots(0.5, 0.75, mu[:5]).shape == (5, 4)
+
+
+def test_core_rejects_negative_stiffness():
+    with pytest.raises(ArithmeticError, match="not finite"):
+        palindromic_roots(0.5, 0.75, -1.0)
+
+
+def loop_minimize(epsilon, b_lo, b_hi, scan_ulps=2000):
+    """Reference terminal scan: one float at a time, strict < keeps the first."""
+    def f(b):
+        return float(palindromic_roots(epsilon, b).real.max())
+
+    lo, hi = _golden_section(f, b_lo, b_hi)
+    x = max(b_lo, math.nextafter(lo, -math.inf))
+    for _ in range(scan_ulps // 2):
+        nxt = math.nextafter(x, -math.inf)
+        if nxt < b_lo or lo - nxt > scan_ulps * math.ulp(lo):
+            break
+        x = nxt
+    best_x, best_f = x, f(x)
+    stop = min(b_hi, hi + scan_ulps * math.ulp(hi))
+    while x < stop:
+        x = math.nextafter(x, math.inf)
+        fx = f(x)
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+@pytest.mark.parametrize(
+    "eps,b_lo,b_hi",
+    [
+        (0.0, 0.0001, 10.0),
+        (1e-4, 0.0101, 10.0),
+        (0.5, 0.7072067811865475, 10.0),
+        (0.98, 0.98999, 10.0),
+        (0.5, 0.75, 0.9),  # optimum at the lower end
+        (0.5, 0.6, 0.75),  # optimum at the upper end
+        (0.3, 0.7, 0.70000000000001),  # bracket narrower than the scan
+    ],
+)
+def test_vectorized_ulp_scan_matches_loop(eps, b_lo, b_hi):
+    assert minimize_growth_bound(eps, b_lo, b_hi) == loop_minimize(eps, b_lo, b_hi)
+
+
+def test_minimizer_rejects_bad_bracket():
+    with pytest.raises(ValueError):
+        minimize_growth_bound(0.5, 0.9, 0.8)
