@@ -282,11 +282,8 @@ def norm_growth_fit(
         design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])
         for _ in range(2):
             resid = logs - design @ coef
-            peaks = [
-                k for k in range(1, samples - 1)
-                if resid[k] >= resid[k - 1] and resid[k] > resid[k + 1]
-            ]
-            if len(peaks) < 4:
+            peaks = 1 + np.flatnonzero((resid[1:-1] >= resid[:-2]) & (resid[1:-1] > resid[2:]))
+            if peaks.size < 4:
                 break
             coef, rms = _trend_lstsq(ts[peaks], logs[peaks])
     if rms > max_rms:

@@ -79,7 +79,7 @@ CLUSTER_TOL = 1e-6
 # b = 1, b = sqrt(eps), b = (1+eps)/2, ...) that decide regimes and defects.
 BOUNDARY_RTOL = 1e-12
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = 64  # points per bracketing level of minimize_growth_bound
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -113,7 +113,7 @@ def characteristic_poly_coeffs(p: Params) -> tuple[float, float, float, float, f
 
 
 def _is_close(x, target):
-    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(target)))
+    scale = np.maximum(np.abs(x), np.abs(target))
     return np.abs(x - target) <= BOUNDARY_RTOL * scale
 
 
@@ -121,11 +121,12 @@ _BLOCK = 1024  # points per array evaluation: temporaries stay near 0.3 MB
 _SIGNS = np.array([1.0, -1.0])  # the two sign choices of a pair, along the last axis
 
 
-def _vieta(direct, product):
+def _vieta(direct, over):
     """Root pairs along the last axis, the one of strictly smaller modulus
-    (which cancels when computed directly) replaced by product / other."""
+    (which cancels when computed directly) replaced by over(other root),
+    the pair's product divided by the other root."""
     size = np.abs(direct)
-    return np.where(size < size[..., ::-1], product / direct[..., ::-1], direct)
+    return np.where(size < size[..., ::-1], over(direct[..., ::-1]), direct)
 
 
 def palindromic_roots(epsilon, b, mu=1.0) -> np.ndarray:
@@ -149,7 +150,10 @@ def palindromic_roots(epsilon, b, mu=1.0) -> np.ndarray:
         # a/2 = sqrt((half - b)(half + b)), exactly 0 when b is the float (1+eps)/2
         half = 0.5 * (1.0 + e)
         half_a = np.sqrt((half - c) + 0j) * np.sqrt(half + c)
-        w = _vieta(0.5 * (e - 1.0) + _SIGNS * half_a, c * c - e)
+        # w+ w- = b^2 - eps, divided before it can overflow; the real part
+        # suffices, as one w is strictly smaller only when both are real
+        w = _vieta(0.5 * (e - 1.0) + _SIGNS * half_a,
+                   lambda other: c * (c / other.real) - e / other.real)
         # sqrt(w^2 - r^2), r = 2 sqrt(mu), scaled by a power of two; the real
         # part as (x-r)(x+r), exact near a double root.  Adding 2j*x*y turns a
         # -0.0 imaginary part into +0.0, the upward branch rule of branch_sqrt.
@@ -158,7 +162,8 @@ def palindromic_roots(epsilon, b, mu=1.0) -> np.ndarray:
         x, y, v = w.real * scale, w.imag * scale, r * scale
         s = np.sqrt((x - v) * (x + v) - y * y + 2j * x * y) / scale
         # lam[..., i, j]: root of w_i with sign j of the square root
-        lam = _vieta((0.5 * w)[..., None] + (0.5 * s)[..., None] * _SIGNS, m[..., None])
+        lam = _vieta((0.5 * w)[..., None] + (0.5 * s)[..., None] * _SIGNS,
+                     lambda other: m[..., None] / other)
         roots = lam.swapaxes(-1, -2).reshape(lam.shape[:-2] + (4,))
     if not np.isfinite(roots).all():
         raise ArithmeticError(
@@ -333,56 +338,44 @@ def classify(p: Params) -> Regime:
     return Regime(kind=kind, omega_star=omega, defect_penalty=penalty)
 
 
-def _golden_section(f, lo: float, hi: float, max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section bracket shrink; returns the final (lo, hi)."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-        if hi - lo <= 64.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            break
-    return lo, hi
-
-
 def minimize_growth_bound(
     epsilon: float, b_lo: float, b_hi: float, scan_ulps: int = 2000
 ) -> tuple[float, float]:
     """Numerically minimize omega*(b) over [b_lo, b_hi] at fixed epsilon.
 
-    Golden-section search followed by an exhaustive scan of the floats
-    around the final bracket.  The terminal scan matters: at the optimum
-    the growth bound has a square-root cusp, so its value resolves the
-    minimizer location only to sqrt(eps_machine) and ordinary bracketing
-    stalls ~1e-8 above the true minimum.  Scanning ulp-by-ulp recovers
-    the exact floating-point argmin; all scanned floats are evaluated in
-    one array call and the first minimum wins.
+    Bracketing over int64 bit patterns, which are consecutive for
+    consecutive non-negative floats: each level evaluates ``_ZOOM`` points
+    evenly spaced in pattern space in one array call and keeps the
+    neighbours of the first minimum as the bracket, until it spans at most
+    ``scan_ulps`` ulps; then every float in it is evaluated and the first
+    minimum wins.  Any bracket takes at most a dozen levels.  The
+    exhaustive finish matters: at the optimum the growth bound has a
+    square-root cusp, so its value locates the minimizer only to
+    sqrt(eps_machine), and sampling can stop short of the exact
+    floating-point argmin.
 
-    Requires 0 <= b_lo < b_hi.  Returns (b_opt, omega*(b_opt)).
+    Requires 0 <= b_lo < b_hi < inf and scan_ulps >= 1.  Returns
+    (b_opt, omega*(b_opt)).
     """
-    if not 0.0 <= b_lo < b_hi:
-        raise ValueError(f"need 0 <= b_lo < b_hi, got [{b_lo!r}, {b_hi!r}]")
+    if not (0.0 <= b_lo < b_hi < math.inf and scan_ulps >= 1):
+        raise ValueError(
+            f"need 0 <= b_lo < b_hi < inf and scan_ulps >= 1, "
+            f"got [{b_lo!r}, {b_hi!r}], {scan_ulps!r}"
+        )
+    # adding 0.0 turns -0.0, whose pattern is negative, into +0.0
+    lo, hi = (int(np.float64(x + 0.0).view(np.int64)) for x in (b_lo, b_hi))
 
-    def f(b: float) -> float:
-        return float(palindromic_roots(epsilon, b).real.max())
+    def omega(patterns):
+        return palindromic_roots(epsilon, patterns.view(np.float64)).real.max(axis=-1)
 
-    lo, hi = _golden_section(f, b_lo, b_hi)
-    # consecutive non-negative floats have consecutive int64 bit patterns
-    first = np.float64(max(b_lo, math.nextafter(lo, -math.inf))).view(np.int64)
-    below = (first - np.arange(1, scan_ulps // 2 + 1, dtype=np.int64)).view(np.float64)
-    room = int(np.count_nonzero((below >= b_lo) & (lo - below <= scan_ulps * math.ulp(lo))))
-    stop = np.float64(min(b_hi, hi + scan_ulps * math.ulp(hi))).view(np.int64)
-    xs = np.arange(first - room, stop + 1, dtype=np.int64).view(np.float64)
-    values = palindromic_roots(epsilon, xs).real.max(axis=-1)
+    while hi - lo > scan_ulps:
+        patterns = np.array([lo + k * (hi - lo) // (_ZOOM - 1) for k in range(_ZOOM)])
+        k = int(np.argmin(omega(patterns)))
+        lo, hi = int(patterns[max(k - 1, 0)]), int(patterns[min(k + 1, _ZOOM - 1)])
+    patterns = np.arange(lo, hi + 1, dtype=np.int64)
+    values = omega(patterns)
     k = int(np.argmin(values))
-    return float(xs[k]), float(values[k])
+    return float(patterns.view(np.float64)[k]), float(values[k])
 
 
 def optimal_coupling(
@@ -392,7 +385,7 @@ def optimal_coupling(
 
     Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4).  When ``verify`` is
     set (the default) the closed form is cross-checked by numerical
-    minimization of the growth bound over (sqrt(eps), b_max]; a mismatch
+    minimization of the growth bound over [0, b_max]; a mismatch
     beyond 1e-6 raises ArithmeticError.
 
     Rejects epsilon >= 1, where no decay regime exists.
@@ -402,10 +395,7 @@ def optimal_coupling(
     eta = (1.0 + epsilon) / 2.0
     omega = (epsilon - 1.0) / 4.0
     if verify:
-        # the decay window (sqrt(eps), eta] narrows like (1-sqrt(eps))^2/2
-        # as eps -> 1, so the bracket offset must shrink with it
-        b_lo = math.sqrt(epsilon) + min(1e-4, (eta - math.sqrt(epsilon)) / 2.0)
-        b_opt, _ = minimize_growth_bound(epsilon, b_lo, b_max)
+        b_opt, _ = minimize_growth_bound(epsilon, 0.0, b_max)
         if abs(b_opt - eta) > 1e-6:
             raise ArithmeticError(
                 f"numerical minimizer {b_opt!r} disagrees with (1+eps)/2 = {eta!r}"

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oscpair import spectrum
 from oscpair.core import Params, assemble_matrix
 from oscpair.spectrum import (
     RegimeKind,
-    _golden_section,
     branch_sqrt,
     characteristic_poly_coeffs,
     classify,
@@ -455,6 +455,28 @@ def test_core_rejects_negative_stiffness():
         palindromic_roots(0.5, 0.75, -1.0)
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, lo: float, hi: float, max_iter: int = 200) -> tuple[float, float]:
+    """Golden-section bracket shrink; returns the final (lo, hi)."""
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+        if hi - lo <= 64.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
+            break
+    return lo, hi
+
+
 def loop_minimize(epsilon, b_lo, b_hi, scan_ulps=2000):
     """Reference terminal scan: one float at a time, strict < keeps the first."""
     def f(b):
@@ -496,3 +518,83 @@ def test_vectorized_ulp_scan_matches_loop(eps, b_lo, b_hi):
 def test_minimizer_rejects_bad_bracket():
     with pytest.raises(ValueError):
         minimize_growth_bound(0.5, 0.9, 0.8)
+
+
+@pytest.mark.parametrize("b_hi,scan_ulps", [(0.9, 0), (math.inf, 2000)])
+def test_minimizer_rejects_empty_scan_and_infinite_bracket(b_hi, scan_ulps):
+    with pytest.raises(ValueError):
+        minimize_growth_bound(0.5, 0.6, b_hi, scan_ulps)
+
+
+def test_minimizer_takes_negative_zero_as_zero():
+    assert minimize_growth_bound(0.5, -0.0, 1.0) == minimize_growth_bound(0.5, 0.0, 1.0)
+
+
+def test_minimizer_equals_exhaustive_argmin_near_the_optimum():
+    # first argmin over the 4,001 floats around (1+eps)/2, all in one array call
+    eps = 10.0 ** np.random.default_rng(11).uniform(-6, math.log10(0.999), 200)
+    eta = (1.0 + eps) / 2.0
+    window = (eta.view(np.int64)[:, None] + np.arange(-2000, 2001)).view(np.float64)
+    values = palindromic_roots(eps[:, None], window).real.max(axis=-1)
+    first = np.argmin(values, axis=1)
+    for k, (e, h) in enumerate(zip(eps.tolist(), eta.tolist())):
+        want = (float(window[k, first[k]]), float(values[k, first[k]]))
+        old_lo = math.sqrt(e) + min(1e-4, (h - math.sqrt(e)) / 2.0)
+        assert minimize_growth_bound(e, old_lo, 10.0) == want, e
+        assert minimize_growth_bound(e, 0.0, 10.0) == want, e
+
+
+@pytest.mark.parametrize(
+    "eps,b_lo,b_hi",
+    [
+        (0.5, 1e-9, 2e-9),  # an ulp here is 2e-25: 1e-14 of width is 5e10 floats
+        (0.5, 0.0, 1e300),
+        (0.0, 0.0001, 10.0),
+        (1e-4, 0.0101, 10.0),
+        (0.5, 0.7072067811865475, 10.0),
+        (0.98, 0.98999, 10.0),
+        (0.5, 0.75, 0.9),
+        (0.5, 0.6, 0.75),
+        (0.3, 0.7, 0.70000000000001),
+    ],
+)
+def test_minimizer_work_is_bounded(monkeypatch, eps, b_lo, b_hi):
+    points, depth = [], []
+
+    def counting(epsilon, b, mu=1.0):
+        # palindromic_roots splits large arrays into blocks through this name
+        if not depth:
+            points.append(np.size(b))
+        depth.append(None)
+        try:
+            return palindromic_roots(epsilon, b, mu)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(spectrum, "palindromic_roots", counting)
+    b_opt, _ = minimize_growth_bound(eps, b_lo, b_hi)
+    assert b_lo <= b_opt <= b_hi
+    assert sum(points) <= 64 * 14 + 2000 + 1
+
+
+@pytest.mark.parametrize("eps,b", [(1e300, 1e200), (1e200, 1e160)])
+def test_huge_parameters_blow_up_at_rate_eps(eps, b):
+    # w+ w- = b^2 - eps overflows although every root is a finite double
+    mp = pytest.importorskip("mpmath")
+    for lam, exact in zip(palindromic_roots(eps, b), mp_roots(eps, b)):
+        assert abs(mp.mpc(complex(lam)) - exact) <= 1e-14 * abs(exact)
+    regime = classify(Params(eps, b))
+    assert regime.kind is RegimeKind.EXP_BLOWUP
+    assert regime.omega_star == eps == growth_bound(Params(eps, b))
+
+
+@pytest.mark.parametrize(
+    "eps,b,kind",
+    [(1e-300, 1e-300, RegimeKind.EXP_BLOWUP), (0.0, 1e-13, RegimeKind.EXP_DECAY)],
+)
+def test_boundary_tolerance_is_purely_relative(eps, b, kind):
+    # b = 1e-300 is far below sqrt(eps) = 1e-150, and b = 1e-13 far above 0
+    regime = classify(Params(eps, b))
+    assert regime.kind is kind
+    assert regime.omega_star == growth_bound(Params(eps, b)) != 0.0
+    assert (regime.omega_star > 0.0) == (kind is RegimeKind.EXP_BLOWUP)
