@@ -12,6 +12,11 @@ integral of epsilon*y^2 - x^2 over each step, from the same 8x8 block
 exponential (Van Loan 1978), so it checks itself against the exact
 energy balance E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  Norms
 past 1e100 raise a typed error instead of overflowing to inf or NaN.
+
+Every matrix exponential goes through the module name ``expm``, which
+imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
+numpy and the standard library only, so the spectral entry points never
+pay for scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import Params, State, assemble_matrix
 from .spectrum import growth_bound
@@ -43,6 +47,26 @@ __all__ = [
 ]
 
 _NORM_OVERFLOW = 1e100
+
+
+class _LazyExpm:
+    """``scipy.linalg.expm``, imported on the first call and kept."""
+
+    def __init__(self) -> None:
+        self._expm = None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        if self._expm is None:
+            from scipy.linalg import expm
+
+            self._expm = expm
+        return self._expm(a)
+
+
+# An instance, not a def: perfbench's tracer wraps ``sim.expm`` by name and,
+# separately, every public function of the package, so a def would be
+# counted twice per call.
+expm = _LazyExpm()
 
 
 class IntegrationError(RuntimeError):

@@ -113,8 +113,9 @@ def characteristic_poly_coeffs(p: Params) -> tuple[float, float, float, float, f
 
 
 def _is_close(x, target):
-    scale = np.maximum(np.abs(x), np.abs(target))
-    return np.abs(x - target) <= BOUNDARY_RTOL * scale
+    """Relative closeness; never between a finite x and an infinite target."""
+    gap = np.abs(x - target)
+    return (gap <= BOUNDARY_RTOL * np.maximum(np.abs(x), np.abs(target))) & (gap < np.inf)
 
 
 _BLOCK = 1024  # points per array evaluation: temporaries stay near 0.3 MB
@@ -183,9 +184,12 @@ def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
     r = 2.0 * np.sqrt(m)
     merged = _is_close(c, 0.5 * (1.0 + e))
     # last axis: w = +r, w = -r; the pair of that w is on w+ when 2w >= eps - 1
-    with np.errstate(over="ignore"):
-        target = (1.0 + _SIGNS * r) * (e - _SIGNS * r)
-    double = (target > 0.0) & _is_close(c, np.sqrt(np.maximum(target, 0.0)))
+    # b^2 = (1 + r)(eps - r) or (1 - r)(eps + r); as eps >= 0, both factors
+    # are positive wherever the product is, and the product of their square
+    # roots cannot overflow
+    grow, shrink = 1.0 + _SIGNS * r, e - _SIGNS * r
+    double = (grow > 0.0) & (shrink > 0.0) & _is_close(
+        c, np.sqrt(np.maximum(grow, 0.0)) * np.sqrt(np.maximum(shrink, 0.0)))
     on_plus = 2.0 * _SIGNS * r >= e - 1.0
     pair = (double[..., None] & np.stack((on_plus, ~on_plus), axis=-1)).any(axis=-2)
     pair = np.where(merged, 1 + 2 * _is_close(0.5 * np.abs(e - 1.0), r), pair)
@@ -269,7 +273,11 @@ def eigenvalue_defect(
 
 
 def growth_bound(p: Params) -> float:
-    """Growth bound omega* = max real part of the four eigenvalues."""
+    """Growth bound omega* = max real part of the four eigenvalues.
+
+    In the decay regime omega* is about -(1-eps)/(4 b^2), which underflows
+    for b above about 1e162: the result is then -0.0, with its sign bit set.
+    """
     return float(palindromic_roots(p.epsilon, p.b).real.max())
 
 
@@ -307,7 +315,10 @@ def classify(p: Params) -> Regime:
     inspecting rounded eigenvalues: the user states the regime, and
     eigenvalue rounding must not flip a boundary verdict.  On boundary
     verdicts with omega* = 0 the reported growth bound is snapped to an
-    exact zero for consistency with the kind.
+    exact zero for consistency with the kind.  An ExpDecay verdict with b
+    above about 1e162 reports omega* = -0.0: the true value, about
+    -(1-eps)/(4 b^2), is below the smallest double, and only the sign bit
+    remains.
     """
     eps, b = p.epsilon, p.b
     spectrum = closed_form_eigenvalues(p)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oscpair import acceptance, sim
 from oscpair.core import Params, State, assemble_matrix, energy
 from oscpair.sim import (
     IntegrationError,
@@ -370,3 +371,90 @@ def test_import_does_not_load_scipy_integrate():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+_SPECTRAL_VERBS_SCRIPT = """
+import sys
+import oscpair
+from oscpair import Params, cli, propagator
+
+loaded = ["scipy.linalg" in sys.modules]
+for argv in (
+    ["classify", "--epsilon", "0.5", "--b", "0.75"],
+    ["sweep", "--epsilon", "0.5", "--b-min", "0.71", "--b-max", "0.79", "--n", "81"],
+    ["modes", "--modes-file", sys.argv[1], "--epsilon", "0.5", "--b", "0.75"],
+):
+    assert cli.main(argv) == 0, argv
+    loaded.append("scipy.linalg" in sys.modules)
+propagator(Params(0.5, 0.75), 1.0)
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+
+
+def test_spectral_verbs_do_not_load_scipy_linalg(tmp_path):
+    modes = tmp_path / "modes.txt"
+    modes.write_text("\n".join(str((k * math.pi) ** 2) for k in range(1, 5)))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPECTRAL_VERBS_SCRIPT, str(modes)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    # import, classify, sweep, modes, then one propagator
+    assert out.stdout.splitlines()[-1] == "[False, False, False, False, True]"
+
+
+# ---------------------------------------------------------------------------
+# one exponential entry point
+# ---------------------------------------------------------------------------
+
+def counting_expm(monkeypatch):
+    calls = []
+    inner = sim.expm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return inner(a)
+
+    monkeypatch.setattr(sim, "expm", counting)
+    return calls
+
+
+def test_every_exponential_goes_through_sim_expm(monkeypatch):
+    calls = counting_expm(monkeypatch)
+    p = Params(0.5, 0.75)
+    expected = [
+        (lambda: propagator(p, 1.0), [(4, 4)]),
+        (lambda: integrate(p, State(1.0, 0.0, 0.0, 0.0), 10.0), [(8, 8)]),
+        (lambda: norm_growth_fit(p), [(4, 4)] * 2),
+        (lambda: periodic_portrait_check(math.sqrt(4.0 + 0.25 - 1.0)), [(4, 4)]),
+        (lambda: periodic_portrait_check(math.sqrt(2.0)), [(4, 4)] * 2),
+    ]
+    for run, shapes in expected:
+        calls.clear()
+        run()
+        assert calls == shapes
+
+
+def test_criterion_7_makes_every_scipy_expm_call_through_sim_expm(monkeypatch):
+    import scipy.linalg
+
+    calls = counting_expm(monkeypatch)
+    code = scipy.linalg.expm.__code__
+    runs = 0
+
+    def hook(frame, event, arg):
+        nonlocal runs
+        if event == "call" and frame.f_code is code:
+            runs += 1
+
+    c7 = next(c for c in acceptance.CRITERIA if c.number == 7)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        ok, _ = c7.run()
+    finally:
+        sys.setprofile(previous)
+    assert ok
+    assert len(calls) == runs == 3 * 1601

@@ -598,3 +598,27 @@ def test_boundary_tolerance_is_purely_relative(eps, b, kind):
     assert regime.kind is kind
     assert regime.omega_star == growth_bound(Params(eps, b)) != 0.0
     assert (regime.omega_star > 0.0) == (kind is RegimeKind.EXP_BLOWUP)
+
+
+@pytest.mark.parametrize("eps,b", [(7e307, 1.0), (1e308, 1e308)])
+def test_no_double_root_where_the_double_root_target_overflows(eps, b):
+    # (1 + r)(eps - r) exceeds the largest double; b^2 would have to equal it
+    assert root_defects(eps, b).tolist() == [0, 0, 0, 0]
+    assert closed_form_eigenvalues(Params(eps, b)).defects == (0, 0, 0, 0)
+    assert classify(Params(eps, b)).defect_penalty == 0
+
+
+def test_finite_value_is_never_close_to_infinity():
+    assert not spectrum._is_close(1e308, math.inf)
+    assert not spectrum._is_close(-1e308, -math.inf)
+    assert spectrum._is_close(1e308, 1e308 * (1 + 1e-13))
+
+
+def test_decay_bound_underflows_to_negative_zero():
+    # omega* is about -(1-eps)/(4 b^2) = -2.5e-601, below the smallest double
+    p = Params(0.0, 1e300)
+    regime = classify(p)
+    assert regime.kind is RegimeKind.EXP_DECAY
+    for omega in (regime.omega_star, growth_bound(p)):
+        assert omega == 0.0
+        assert math.copysign(1.0, omega) == -1.0
