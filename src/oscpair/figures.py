@@ -158,10 +158,6 @@ def _block_trajectory(p: Params, spec: FigureSpec, tol: float, samples: int) -> 
     return traj, truncated
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def write_figure(
     spec: FigureSpec,
     tol: float = 1e-10,
@@ -189,22 +185,20 @@ def write_figure(
     labels = spec.labels or tuple(
         f"epsilon={p.epsilon:g} b={p.b:g}" for p in spec.params
     )
+    z0 = spec.z0.as_array()
     for k, p in enumerate(spec.params):
         if k > 0:
             lines.append("")
         lines.append(f"# block {k}: {labels[k]}")
         traj, truncated = _block_trajectory(p, spec, tol, samples)
-        z0 = spec.z0.as_array()
-        for i, t in enumerate(traj.times):
-            e = traj.energies[i]
-            if e > ENERGY_OVERFLOW:
-                truncated = True
-                break
-            row = [t, *traj.states[i], e]
-            if spec.with_asymptotic:
-                za = asymptotic_propagator(p.b, float(t)) @ z0
-                row.extend([za[0], za[2]])
-            lines.append(_format_row(row))
+        over = np.flatnonzero(traj.energies > ENERGY_OVERFLOW)
+        n = over[0] if over.size else traj.times.size
+        truncated |= over.size > 0
+        columns = [traj.times[:n, None], traj.states[:n], traj.energies[:n, None]]
+        if spec.with_asymptotic:
+            za = asymptotic_propagator(p.b, traj.times[:n]) @ z0
+            columns.append(za[:, [0, 2]])
+        lines.extend(",".join(map(repr, row)) for row in np.hstack(columns).tolist())
         if truncated:
             lines.append(f"# truncated: E > {ENERGY_OVERFLOW:g} beyond this point")
     csv_path.write_text("\n".join(lines) + "\n")

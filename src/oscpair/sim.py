@@ -222,28 +222,28 @@ def explicit_solution_eps1_b1(z0: State, t: float) -> State:
     return State(u, x, v, y)
 
 
-def asymptotic_propagator(b: float, t: float) -> np.ndarray:
-    """Large-b limit of the propagator at eps = 1.
+def asymptotic_propagator(b: float, t: float | np.ndarray) -> np.ndarray:
+    """Large-b limit of the propagator at eps = 1, of shape t.shape + (4, 4).
 
     Block rotation form: the displacements (u, v) rotate slowly with
     angular frequency 1/b while the velocities (x, y) counter-rotate
     fast with frequency b.  Valid as an approximation for eps = 1 and
-    large b; exact only in the b -> infinity limit.
+    large b; exact only in the b -> infinity limit.  ``t`` is a time or
+    an array of times.  Rejects b <= 1, non-finite b, and any time that
+    is negative or makes b*t non-finite.
     """
-    if not b > 1.0:
-        raise ValueError(f"asymptotic form requires b > 1, got {b}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    cs, ss = math.cos(t / b), math.sin(t / b)
-    cf, sf = math.cos(b * t), math.sin(b * t)
-    return np.array(
-        [
-            [cs, 0.0, -ss, 0.0],
-            [0.0, cf, 0.0, sf],
-            [ss, 0.0, cs, 0.0],
-            [0.0, -sf, 0.0, cf],
-        ]
-    )
+    if not (b > 1.0 and math.isfinite(b)):
+        raise ValueError(f"asymptotic form requires finite b > 1, got {b}")
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        fast = b * t
+    bad = t[~(np.isfinite(fast) & (t >= 0.0))]
+    if bad.size:
+        raise ValueError(f"time must be >= 0 with b*t finite, got t={bad[0]} at b={b}")
+    cs, ss, cf, sf = np.cos(t / b), np.sin(t / b), np.cos(fast), np.sin(fast)
+    z = np.zeros_like(t)
+    rows = [[cs, z, -ss, z], [z, cf, z, sf], [ss, z, cs, z], [z, -sf, z, cf]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 class FitResult(NamedTuple):
@@ -323,16 +323,19 @@ def norm_growth_fit(
 def periodic_portrait_check(
     b: float,
     t_max: float = 200.0,
-    ratio_tol: float = 1e-9,
+    ratio_tol: float = 1e-14,
     recurrence_tol: float = 1e-6,
 ) -> tuple[bool, float]:
     """Decide whether the eps = 1, b > 1 phase portrait is periodic.
 
     The two angular frequencies are w+- = (sqrt(b^2+3) +- sqrt(b^2-1))/2
-    and the portrait closes iff their ratio is rational.  Rationality is
-    decided by continued-fraction approximation with denominators capped
-    at 1e4; float input cannot certify rationality beyond that scale.
-    Returns (True, T) with T the common period, or (False, nan).
+    and the portrait closes iff their ratio is rational.  Since w+ w- = 1
+    the ratio is w+^2, free of the cancellation that costs w- about b^2
+    ulps.  Rationality is decided by continued-fraction approximation with
+    denominators capped at 1e4, to a relative tolerance of ``ratio_tol``
+    times the ratio's condition number in b, 2b^2/sqrt((b^2+3)(b^2-1));
+    float input cannot certify rationality beyond that scale.  Returns
+    (True, T) with T the common period, or (False, nan).
 
     Either verdict is cross-checked against the trajectory z(t) = S(t)z0
     with z0 = (1,0,0,0): a periodic verdict must recur to within
@@ -343,15 +346,15 @@ def periodic_portrait_check(
     if not b > 1.0:
         raise ValueError(f"periodicity check requires b > 1, got {b}")
     w_plus = (math.sqrt(b * b + 3.0) + math.sqrt(b * b - 1.0)) / 2.0
-    w_minus = (math.sqrt(b * b + 3.0) - math.sqrt(b * b - 1.0)) / 2.0
-    ratio = w_plus / w_minus
+    ratio = w_plus * w_plus
+    cond = 2.0 * b * b / math.sqrt((b * b + 3.0) * (b * b - 1.0))
     frac = Fraction(ratio).limit_denominator(10_000)
-    is_periodic = abs(ratio - float(frac)) <= ratio_tol
+    is_periodic = abs(ratio - float(frac)) <= ratio_tol * cond * ratio
 
     m = assemble_matrix(Params(1.0, b))
     z0 = np.array([1.0, 0.0, 0.0, 0.0])
     if is_periodic:
-        period = 2.0 * math.pi * frac.denominator / w_minus
+        period = 2.0 * math.pi * frac.denominator * w_plus
         gap = float(np.linalg.norm(expm(period * m) @ z0 - z0))
         if gap > recurrence_tol:
             raise IntegrationError(

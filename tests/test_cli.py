@@ -6,6 +6,7 @@ import pytest
 
 from oscpair import cli
 from oscpair.cli import main
+from oscpair.figures import parse_figure_csv
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,14 @@ def test_figure_command_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "f9.csv").exists()
     assert (tmp_path / "f9.plot").exists()
+
+
+def test_fig2_window_is_the_period_at_large_q(tmp_path, capsys):
+    stem = tmp_path / "f2"
+    code, _, _ = run_cli(capsys, "figure", "fig2", "--q", "10000", "--out", str(stem))
+    assert code == 0
+    block = parse_figure_csv(tmp_path / "f2.csv")[0]
+    assert block["t"][-1] == pytest.approx(200.0 * math.pi, rel=1e-12)
 
 
 def test_figure_rejects_unknown_id(capsys):

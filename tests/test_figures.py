@@ -7,10 +7,12 @@ from oscpair.core import Params, State
 from oscpair.figures import (
     FIGURE_IDS,
     FigureSpec,
+    _block_trajectory,
     default_figure_spec,
     parse_figure_csv,
     write_figure,
 )
+from oscpair.sim import asymptotic_propagator
 
 
 def test_all_default_specs_build():
@@ -146,3 +148,42 @@ def test_portrait_block_closes_for_periodic_coupling(tmp_path):
     )
     assert gap <= 1e-6
     assert "x=u y=x" in plot_path.read_text()
+
+
+def row_by_row_csv(spec, samples):
+    """The figure CSV built one sample at a time, with scalar calls only."""
+    header = "t,u,x,v,y,E" + (",u_asym,v_asym" if spec.with_asymptotic else "")
+    lines = [header]
+    z0 = spec.z0.as_array()
+    for k, p in enumerate(spec.params):
+        if k > 0:
+            lines.append("")
+        lines.append(f"# block {k}: epsilon={p.epsilon:g} b={p.b:g}")
+        traj, truncated = _block_trajectory(p, spec, 1e-10, samples)
+        for t, state, e in zip(traj.times, traj.states, traj.energies):
+            if e > 1e100:
+                truncated = True
+                break
+            row = [t, *state, e]
+            if spec.with_asymptotic:
+                za = asymptotic_propagator(p.b, float(t)) @ z0
+                row += [za[0], za[2]]
+            lines.append(",".join(repr(float(v)) for v in row))
+        if truncated:
+            lines.append("# truncated: E > 1e+100 beyond this point")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        default_figure_spec("fig5"),
+        default_figure_spec("fig5", z0=State(0.5, -0.3, 0.2, 0.7)),
+        default_figure_spec("fig1"),
+        FigureSpec("fig9", (Params(2.0, 1.0),), State(1, 0, 0, 0), 300.0, "boom"),
+    ],
+    ids=["fig5", "fig5-z0", "fig1", "truncated"],
+)
+def test_csv_equals_row_by_row_reference(tmp_path, spec):
+    csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)
+    assert csv_path.read_text() == row_by_row_csv(spec, 400)

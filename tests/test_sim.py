@@ -287,6 +287,34 @@ def test_asymptotic_propagator_rejects_small_coupling():
         asymptotic_propagator(0.9, 1.0)
 
 
+@pytest.mark.parametrize("b", [1.5, 5.0, 20.0, 200.0])
+def test_asymptotic_propagator_array_equals_scalar_calls(b):
+    ts = np.concatenate(([0.0], np.random.default_rng(3).uniform(0.0, 1e3, 400)))
+    got = asymptotic_propagator(b, ts)
+    assert got.shape == ts.shape + (4, 4)
+    np.testing.assert_array_equal(got, np.stack([asymptotic_propagator(b, float(t)) for t in ts]))
+    grid = ts[1:].reshape(20, 20)
+    assert asymptotic_propagator(b, grid).shape == (20, 20, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "b,t",
+    [
+        (math.inf, 1.0),
+        (math.nan, 1.0),
+        (1e300, 1e10),
+        (2.0, math.nan),
+        (2.0, math.inf),
+        (2.0, -1.0),
+        (2.0, np.array([0.0, 1.0, math.nan, 3.0, -1.0])),
+        (1e300, np.array([0.0, 1e-300, 1e10])),
+    ],
+)
+def test_asymptotic_propagator_rejects_non_finite_or_negative_input(b, t):
+    with pytest.raises(ValueError, match="finite"):
+        asymptotic_propagator(b, t)
+
+
 def test_asymptotic_error_shrinks_with_coupling():
     ts = np.linspace(0.0, 20.0, 401)
     sups = []
@@ -346,6 +374,21 @@ def test_periodicity_for_rational_frequency_ratio():
     periodic, period = periodic_portrait_check(b)
     assert periodic
     assert period == pytest.approx(4.0 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1e4, 1e5, 1e6, 1e7, 1e8])
+def test_periodicity_for_large_integer_frequency_ratio(q):
+    periodic, period = periodic_portrait_check(math.sqrt(q + 1.0 / q - 1.0))
+    assert periodic
+    assert period == pytest.approx(2.0 * math.pi * math.sqrt(q), rel=1e-12)
+
+
+def test_periodicity_verdict_for_generic_coupling_is_not_a_crash():
+    # an irrational ratio is close to some fraction with denominator <= 1e4
+    # only by chance; a tolerance looser than the ratio's rounding error
+    # declares it periodic, and the recurrence check then raises
+    for b in np.random.default_rng(17).uniform(1.01, 30.0, 100):
+        periodic_portrait_check(float(b))
 
 
 def test_periodicity_rejected_for_unit_coupling():
