@@ -25,7 +25,7 @@ from .core import Params, State
 from .figures import FIGURE_IDS, default_figure_spec, write_figure
 from .modal import family_growth_bound, load_mode_family, threshold_check
 from .sim import FitError, IntegrationError
-from .spectrum import RegimeKind, classify, closed_form_eigenvalues
+from .spectrum import RegimeKind, _regime, closed_form_eigenvalues
 from .spectrum import dominant_defects, palindromic_roots, root_defects
 
 __all__ = ["main"]
@@ -94,27 +94,28 @@ def _build_parser() -> _Parser:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     p = Params(args.epsilon, args.b)
-    regime = classify(p)
     spectrum = closed_form_eigenvalues(p)
+    regime = _regime(p, spectrum)
 
-    print(f"epsilon={p.epsilon!r}")
-    print(f"b={p.b!r}")
-    print(f"kind={regime.kind.value}")
-    print(f"omega_star={regime.omega_star!r}")
-    print(f"defect={regime.defect_penalty}")
+    lines = [
+        f"epsilon={p.epsilon!r}",
+        f"b={p.b!r}",
+        f"kind={regime.kind.value}",
+        f"omega_star={regime.omega_star!r}",
+        f"defect={regime.defect_penalty}",
+    ]
     if regime.kind is RegimeKind.POLY_BLOWUP:
-        print(f"degree={regime.degree}")
+        lines.append(f"degree={regime.degree}")
     for i, lam in enumerate(spectrum.eigenvalues, start=1):
-        print(f"lambda{i}_re={lam.real!r}")
-        print(f"lambda{i}_im={lam.imag!r}")
-    print("defects=" + ",".join(str(d) for d in spectrum.defects))
+        lines += [f"lambda{i}_re={lam.real!r}", f"lambda{i}_im={lam.imag!r}"]
+    lines.append("defects=" + ",".join(str(d) for d in spectrum.defects))
     if p.epsilon < 1.0:
-        print(f"sqrt_epsilon={math.sqrt(p.epsilon)!r}")
-        print(f"eta={(1.0 + p.epsilon) / 2.0!r}")
+        lines += [f"sqrt_epsilon={math.sqrt(p.epsilon)!r}", f"eta={(1.0 + p.epsilon) / 2.0!r}"]
     if p.epsilon > 1.0:
         # a strictly stable subspace can coexist with blow-up; report only
         dim = sum(1 for lam in spectrum.eigenvalues if lam.real < 0.0)
-        print(f"stable_subspace_dim={dim}")
+        lines.append(f"stable_subspace_dim={dim}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -179,6 +180,9 @@ def _cmd_accept(args: argparse.Namespace) -> int:
             numbers = {int(tok) for tok in args.only.split(",")}
         except ValueError as exc:
             raise _UsageError(f"--only expects numbers, got {args.only!r}") from exc
+        known = [crit.number for crit in acceptance.CRITERIA]
+        if unknown := sorted(numbers.difference(known)):
+            raise _UsageError(f"--only: unknown criteria {unknown}, expected 1..{max(known)}")
     ok = acceptance.run_all(numbers)
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 

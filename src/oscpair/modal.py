@@ -132,16 +132,20 @@ def family_growth_bound(f: ModeFamily, p: Params, tail_check: int = 8) -> Family
 
     Returns the supremum, the (0-based) index of the first mode
     attaining it within 1e-9, and that mode's eigenvalue.  The bound
-    over the last ``tail_check`` modes must be stabilizing: consecutive
-    tail differences may not grow (beyond a 1e-10 noise floor), since a
-    growing tail would mean the finite truncation says nothing about the
-    full family.  A non-stabilizing tail raises ArithmeticError.
+    over the last ``tail_check`` modes (every mode if there are fewer, none
+    at 0) must be stabilizing: consecutive tail differences may not grow
+    (beyond a 1e-10 noise floor), since a growing tail would mean the
+    finite truncation says nothing about the full family.  A
+    non-stabilizing tail raises ArithmeticError, a negative ``tail_check``
+    ValueError.
     """
+    if tail_check < 0:
+        raise ValueError(f"tail_check must be >= 0, got {tail_check!r}")
     bounds = palindromic_roots(p.epsilon, p.b, np.array(f.mu)).real.max(axis=-1)
     top = float(bounds.max())
     index = int(np.argmax(bounds >= top - 1e-9 * (1.0 + abs(top))))
 
-    diffs = np.abs(np.diff(bounds[-min(tail_check, len(bounds)):]))
+    diffs = np.abs(np.diff(bounds[len(bounds) - min(tail_check, len(bounds)):]))
     floor = 1e-10 * (1.0 + abs(top))
     grows = (diffs[1:] > diffs[:-1]) & (diffs[1:] > floor)
     if grows.any():

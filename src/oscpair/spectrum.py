@@ -120,6 +120,7 @@ def _is_close(x, target):
 
 _BLOCK = 1024  # points per array evaluation: temporaries stay near 0.3 MB
 _SIGNS = np.array([1.0, -1.0])  # the two sign choices of a pair, along the last axis
+_ON_PLUS = np.array([True, False])  # w+, w- along the last axis
 
 
 def _vieta(direct, over):
@@ -191,7 +192,7 @@ def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
     double = (grow > 0.0) & (shrink > 0.0) & _is_close(
         c, np.sqrt(np.maximum(grow, 0.0)) * np.sqrt(np.maximum(shrink, 0.0)))
     on_plus = 2.0 * _SIGNS * r >= e - 1.0
-    pair = (double[..., None] & np.stack((on_plus, ~on_plus), axis=-1)).any(axis=-2)
+    pair = (double[..., None] & (on_plus[..., None] == _ON_PLUS)).any(axis=-2)
     pair = np.where(merged, 1 + 2 * _is_close(0.5 * np.abs(e - 1.0), r), pair)
     return np.concatenate((pair, pair), axis=-1)
 
@@ -318,10 +319,15 @@ def classify(p: Params) -> Regime:
     exact zero for consistency with the kind.  An ExpDecay verdict with b
     above about 1e162 reports omega* = -0.0: the true value, about
     -(1-eps)/(4 b^2), is below the smallest double, and only the sign bit
-    remains.
+    remains.  Evaluates :func:`closed_form_eigenvalues` once.
     """
+    return _regime(p, closed_form_eigenvalues(p))
+
+
+def _regime(p: Params, spectrum: Spectrum) -> Regime:
+    """:func:`classify` given ``spectrum = closed_form_eigenvalues(p)``, so
+    that a caller that also reports the spectrum evaluates it only once."""
     eps, b = p.epsilon, p.b
-    spectrum = closed_form_eigenvalues(p)
 
     if _is_close(eps, 1.0):
         if _is_close(b, 1.0):

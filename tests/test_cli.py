@@ -2,11 +2,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from oscpair import cli
+from oscpair import cli, spectrum
 from oscpair.cli import main
+from oscpair.core import Params
 from oscpair.figures import parse_figure_csv
+from oscpair.spectrum import RegimeKind, classify, closed_form_eigenvalues
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +236,86 @@ def test_repeated_calls_in_one_process_match_fresh_parsers(capsys):
     reused = [run_cli(capsys, *argv) for argv in calls]
     assert [r[:2] for r in reused] == [f[:2] for f in fresh]
     assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0, 0]
+
+
+def test_classify_evaluates_the_palindromic_core_once(monkeypatch, capsys):
+    calls = {"palindromic_roots": 0, "root_defects": 0}
+
+    def counting(name):
+        original = getattr(spectrum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spectrum, name, counting(name))
+    code, _, _ = run_cli(capsys, "classify", "--epsilon", "0.5", "--b", "0.75")
+    assert code == 0
+    assert calls == {"palindromic_roots": 1, "root_defects": 1}
+
+
+def reference_classify_output(eps: float, b: float) -> tuple[int, str, str]:
+    """The classify record, line by line from the public functions."""
+    try:
+        p = Params(eps, b)
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+    regime, spec = classify(p), closed_form_eigenvalues(p)
+    lines = [
+        f"epsilon={p.epsilon!r}",
+        f"b={p.b!r}",
+        f"kind={regime.kind.value}",
+        f"omega_star={regime.omega_star!r}",
+        f"defect={regime.defect_penalty}",
+    ]
+    if regime.kind is RegimeKind.POLY_BLOWUP:
+        lines.append(f"degree={regime.degree}")
+    for i, lam in enumerate(spec.eigenvalues, start=1):
+        lines.append(f"lambda{i}_re={lam.real!r}")
+        lines.append(f"lambda{i}_im={lam.imag!r}")
+    lines.append("defects=" + ",".join(str(d) for d in spec.defects))
+    if p.epsilon < 1.0:
+        lines.append(f"sqrt_epsilon={math.sqrt(p.epsilon)!r}")
+        lines.append(f"eta={(1.0 + p.epsilon) / 2.0!r}")
+    if p.epsilon > 1.0:
+        lines.append(f"stable_subspace_dim={sum(lam.real < 0.0 for lam in spec.eigenvalues)}")
+    return 0, "".join(line + "\n" for line in lines), ""
+
+
+def classify_points() -> list[tuple[float, float]]:
+    rng = np.random.default_rng(17)
+    points = list(zip(rng.uniform(0, 3, 30).tolist(), (10.0 ** rng.uniform(-3, 3, 30)).tolist()))
+    for eps in (0.0, 0.25, 0.5, 0.81, 1.0, 2.0):
+        points += [(eps, math.sqrt(eps) or 1e-3), (eps, (1.0 + eps) / 2.0)]
+    points += [(1.0, 1.0), (5.0, 3.0), (3.0, math.sqrt(3.0)), (0.5, 1e100), (1e155, 1.0)]
+    return points + [(-1.0, 1.0)]  # rejected: usage error
+
+
+@pytest.mark.parametrize("eps, b", classify_points())
+def test_classify_record_matches_the_public_functions_byte_for_byte(capsys, eps, b):
+    assert run_cli(capsys, "classify", "--epsilon", repr(eps), "--b", repr(b)) == (
+        reference_classify_output(eps, b)
+    )
+
+
+@pytest.mark.parametrize("only, unknown", [("11", "[11]"), ("2,42", "[42]"), ("0,3,-1", "[-1, 0]")])
+def test_accept_rejects_unknown_criterion_numbers(capsys, only, unknown):
+    code, out, err = run_cli(capsys, "accept", "--only", only)
+    assert (code, out) == (1, "")
+    assert f"unknown criteria {unknown}" in err and "1..10" in err
+
+
+def test_modes_tail_check_zero_checks_nothing_and_negative_is_rejected(tmp_path, capsys):
+    modes = tmp_path / "modes.txt"
+    mu = 10.0 ** np.random.default_rng(1).uniform(-3.0, 4.0, 200)
+    modes.write_text("\n".join(map(repr, mu.tolist())))
+    argv = ("modes", "--modes-file", str(modes), "--epsilon", "0.5", "--b", "0.75", "--tail-check")
+    code, out, _ = run_cli(capsys, *argv, "0")
+    assert code == 0
+    assert record(out)["family_growth_bound"] == "-0.004473776478615504"
+    code, out, err = run_cli(capsys, *argv, "-1")
+    assert (code, out) == (1, "")
+    assert "tail_check must be >= 0, got -1" in err

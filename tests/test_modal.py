@@ -130,6 +130,26 @@ def test_family_rejects_non_stabilizing_tail():
         family_growth_bound(family, p, tail_check=6)
 
 
+def log_uniform_family() -> ModeFamily:
+    """200 log-uniform mu (seed 1), whose first differences do not shrink."""
+    return ModeFamily(10.0 ** np.random.default_rng(1).uniform(-3.0, 4.0, 200))
+
+
+def test_family_tail_check_zero_checks_nothing():
+    family, p = log_uniform_family(), Params(0.5, 0.75)
+    for tail_check in (8, 1, 0):
+        bound = family_growth_bound(family, p, tail_check=tail_check)
+        assert (bound.value, bound.index) == (-0.004473776478615504, 0)
+    with pytest.raises(ArithmeticError, match="not stabilizing"):
+        family_growth_bound(family, p, tail_check=200)
+
+
+@pytest.mark.parametrize("tail_check", [-1, -3])
+def test_family_rejects_negative_tail_check(tail_check):
+    with pytest.raises(ValueError, match=f"tail_check must be >= 0, got {tail_check}"):
+        family_growth_bound(log_uniform_family(), Params(0.5, 0.75), tail_check=tail_check)
+
+
 def test_mode_family_normalizes_and_validates():
     f = ModeFamily([4.0, 1.0, 4.0, 2.0])
     assert f.mu == (1.0, 2.0, 4.0)

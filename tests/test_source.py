@@ -44,3 +44,53 @@ def test_unused_import_check_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` (def, class or assignment) that no module references.
+
+    ``sources`` maps a module name to its source; a name counts as referenced
+    when any module loads it, reads it as an attribute or imports it.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                defined += [(module, n.id) for n in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted(
+        f"{module}.{name}" for module, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    )
+
+
+def test_dead_private_name_check_flags_only_unreferenced_names():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_DEAD, (_ALSO_DEAD, _PAIR) = 1, (2, 3)\n"
+            "_typed: int = 0\n"
+            "class _Unused:\n    pass\n"
+            "def _helper(x):\n    return x + _LIMIT\n"
+            "def _orphan():\n    return _PAIR\n"
+            "def f():\n    return _helper(1)\n"
+        ),
+        "b": "from .a import _typed\nimport a\nx = a._Used if 0 else 1\nclass _Used:\n    pass\n",
+    }
+    assert dead_private_names(sources) == ["a._ALSO_DEAD", "a._DEAD", "a._Unused", "a._orphan"]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({path.stem: path.read_text() for path in SOURCES}) == []

@@ -450,6 +450,31 @@ def test_core_broadcasts_like_scalar_calls():
     assert palindromic_roots(0.5, 0.75, mu[:5]).shape == (5, 4)
 
 
+def exact_relation_points() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, b, mu) on b^2 = (1+r)(eps-r), b^2 = (1-r)(eps+r) and b = (1+eps)/2,
+    r = 2 sqrt(mu), with b computed as ``root_defects`` forms it."""
+    points = []
+    for mu in (0.0025, 0.01, 0.04, 0.16, 1.0, 4.0, 25.0):
+        r = 2.0 * math.sqrt(mu)
+        for eps in (0.0, 0.2, 0.5, 1.0, 1.8, 2.5, 1.0 + 2.0 * r, 2.0 * r + 0.7, 3.0 * r):
+            points.append((eps, 0.5 * (1.0 + eps), mu))
+            if eps > r:
+                points.append((eps, math.sqrt(1.0 + r) * math.sqrt(eps - r), mu))
+            if r < 1.0:
+                points.append((eps, math.sqrt(1.0 - r) * math.sqrt(eps + r), mu))
+    return tuple(np.array(column) for column in zip(*points))
+
+
+def test_core_broadcasts_like_scalar_calls_at_exact_relations():
+    eps, b, mu = exact_relation_points()
+    lams, defects = palindromic_roots(eps, b, mu), root_defects(eps, b, mu)
+    assert lams.shape == defects.shape == (len(eps), 4)
+    assert defects.any(axis=-1).all() and (defects == 3).any()
+    for k in range(len(eps)):
+        np.testing.assert_allclose(lams[k], palindromic_roots(eps[k], b[k], mu[k]), rtol=1e-15)
+        assert np.array_equal(defects[k], root_defects(eps[k], b[k], mu[k]))
+
+
 def test_core_rejects_negative_stiffness():
     with pytest.raises(ArithmeticError, match="not finite"):
         palindromic_roots(0.5, 0.75, -1.0)
