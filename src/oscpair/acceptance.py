@@ -252,11 +252,15 @@ CRITERIA = [
 
 
 def run_all(numbers: set[int] | None = None, emit: Callable[[str], None] = print) -> bool:
-    """Run (a subset of) the acceptance criteria, printing one line each."""
+    """Run the selected criteria (all by default); ValueError on an empty or unknown selection."""
+    chosen = [crit for crit in CRITERIA if numbers is None or crit.number in numbers]
+    if numbers is not None:
+        if unknown := sorted(set(numbers).difference(crit.number for crit in chosen)):
+            raise ValueError(f"unknown criteria {unknown}, expected 1..{len(CRITERIA)}")
+        if not chosen:
+            raise ValueError(f"no criteria selected, expected 1..{len(CRITERIA)}")
     all_ok = True
-    for crit in CRITERIA:
-        if numbers is not None and crit.number not in numbers:
-            continue
+    for crit in chosen:
         try:
             ok, detail = crit.run()
         except Exception as exc:  # a crashed criterion is a failed criterion

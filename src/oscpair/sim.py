@@ -21,6 +21,7 @@ pay for scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,11 +80,14 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorSample:
-    """Propagator matrix S(t) with its operator norm attached."""
+    """Propagator matrix S(t); its operator norm is computed on first read."""
 
     t: float
     matrix: np.ndarray
-    operator_norm: float
+
+    @functools.cached_property
+    def operator_norm(self) -> float:
+        return operator_norm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -125,16 +129,19 @@ def propagator(p: Params, t: float) -> PropagatorSample:
 
     Accurate at the defective parameter pairs where eigendecomposition
     breaks down.  Rejects negative or non-finite t, and raises
-    IntegrationError when the norm of S(t) passes 1e100.
+    IntegrationError when the norm of S(t) passes 1e100.  The norm is at
+    most 4 times the largest entry, so it is computed here only when that
+    entry passes 2.5e99, and otherwise on the sample's first read.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         m = expm(t * assemble_matrix(p))
-    nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
-    if nrm > _NORM_OVERFLOW:
-        raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
-    return PropagatorSample(t=t, matrix=m, operator_norm=nrm)
+    if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
+        nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
+        if nrm > _NORM_OVERFLOW:
+            raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
+    return PropagatorSample(t=t, matrix=m)
 
 
 def _march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
@@ -341,7 +348,7 @@ def periodic_portrait_check(
     with z0 = (1,0,0,0): a periodic verdict must recur to within
     ``recurrence_tol`` at T, an aperiodic one must not recur anywhere on
     a uniform grid over [0.5, t_max], stepped exactly by S(dt).
-    Violations raise IntegrationError.
+    Violations, and a non-finite gap or orbit, raise IntegrationError.
     """
     if not b > 1.0:
         raise ValueError(f"periodicity check requires b > 1, got {b}")
@@ -355,14 +362,18 @@ def periodic_portrait_check(
     z0 = np.array([1.0, 0.0, 0.0, 0.0])
     if is_periodic:
         period = 2.0 * math.pi * frac.denominator * w_plus
-        gap = float(np.linalg.norm(expm(period * m) @ z0 - z0))
-        if gap > recurrence_tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = float(np.linalg.norm(expm(period * m) @ z0 - z0))
+        if not gap <= recurrence_tol:
             raise IntegrationError(
                 f"predicted period {period:g} fails recurrence: gap {gap:.3e}"
             )
         return True, period
     ts, dt = np.linspace(0.5, t_max, 1024, retstep=True)
-    orbit = _march(expm(dt * m), expm(ts[0] * m) @ z0, len(ts) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbit = _march(expm(dt * m), expm(ts[0] * m) @ z0, len(ts) - 1)
+    if not np.isfinite(orbit).all():
+        raise IntegrationError(f"aperiodic orbit is not finite at b={b:g}")
     hits = np.flatnonzero(np.linalg.norm(orbit - z0, axis=1) <= recurrence_tol)
     if hits.size:
         raise IntegrationError(

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,55 @@ def test_propagator_overflow_raises_without_lapack_noise(capfd):
     with pytest.raises(IntegrationError, match="overflow guard"):
         propagator(Params(2.0, 1.0), 1e4)
     assert capfd.readouterr().err == ""
+
+
+def test_propagator_guard_raises_exactly_where_the_norm_passes_the_bound():
+    # around t* = 283.77 at (2, 1) the largest entry, about 8e99, sits in the
+    # band (2.5e99, 1e100] where only the SVD decides
+    p = Params(2.0, 1.0)
+    a = assemble_matrix(p)
+    band = raised = 0
+    for t in np.concatenate((np.linspace(283.0, 284.5, 2001), [290.0, 1e3, 1e4])).tolist():
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = sim.expm(t * a)
+        nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
+        band += bool(2.5e99 < np.abs(m).max() <= 1e100)
+        if nrm > 1e100:
+            raised += 1
+            want = f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}"
+            with pytest.raises(IntegrationError) as info:
+                propagator(p, t)
+            assert str(info.value) == want
+        else:
+            np.testing.assert_array_equal(propagator(p, t).matrix, m)
+    assert band > 100 and 100 < raised < 1900
+
+
+def test_propagator_sample_computes_its_norm_once_on_first_read(monkeypatch):
+    calls = []
+    inner = sim.operator_norm
+
+    def counting(m):
+        calls.append(1)
+        return inner(m)
+
+    monkeypatch.setattr(sim, "operator_norm", counting)
+    for p, t in ((Params(0.5, 0.75), 1.0), (Params(1.0, 1.0), 50.0), (Params(2.0, 1.0), 100.0)):
+        sample = propagator(p, t)
+        assert calls == []
+        assert sample.operator_norm == inner(sample.matrix)
+        assert sample.operator_norm == sample.operator_norm
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_criterion_7_reads_no_operator_norm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "operator_norm", lambda m: calls.append(1))
+    c7 = next(c for c in acceptance.CRITERIA if c.number == 7)
+    ok, detail = c7.run()
+    assert ok, detail
+    assert calls == []
 
 
 def test_propagator_matches_explicit_solution_at_defective_point():
@@ -389,6 +439,20 @@ def test_periodicity_verdict_for_generic_coupling_is_not_a_crash():
     # declares it periodic, and the recurrence check then raises
     for b in np.random.default_rng(17).uniform(1.01, 30.0, 100):
         periodic_portrait_check(float(b))
+
+
+def test_periodicity_nan_recurrence_gap_raises_without_warnings():
+    # expm(T*A) is all NaN at b = 1e150, and a NaN gap used to pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="fails recurrence: gap nan"):
+            periodic_portrait_check(1e150)
+
+
+def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
+    monkeypatch.setattr(sim, "expm", lambda a: np.full_like(a, math.nan))
+    with pytest.raises(IntegrationError, match="not finite"):
+        periodic_portrait_check(math.sqrt(2.0))
 
 
 def test_periodicity_rejected_for_unit_coupling():
