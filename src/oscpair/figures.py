@@ -34,6 +34,7 @@ __all__ = [
     "FIGURE_IDS",
     "FigureSpec",
     "default_figure_spec",
+    "parse_figure_csv",
     "write_figure",
 ]
 

@@ -7,11 +7,15 @@ interesting ones, and an eigenvector basis degenerates there while the
 matrix exponential does not care.
 
 The ODE is linear with constant coefficients, so uniform time grids are
-stepped exactly, z_{k+1} = S(dt) z_k.  A trajectory also carries the
-integral of epsilon*y^2 - x^2 over each step, from the same 8x8 block
-exponential (Van Loan 1978), so it checks itself against the exact
-energy balance E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  Norms
-past 1e100 raise a typed error instead of overflowing to inf or NaN.
+stepped exactly, z_m = S(dt)^m z_0.  The n steps run in blocks of
+k ~ sqrt(n), z_{jk+i} = S(dt)^i z_{jk}: the powers and the block starts
+take one product each and every other state comes from one batched
+product, so a grid costs about 2 sqrt(n) Python-level products, not n.
+A trajectory also carries the integral of epsilon*y^2 - x^2 over each
+step, from the same 8x8 block exponential (Van Loan 1978), so it checks
+itself against the exact energy balance
+E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  Norms past 1e100 raise a
+typed error instead of overflowing to inf or NaN.
 
 Every matrix exponential goes through the module name ``expm``, which
 imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
@@ -48,6 +52,8 @@ __all__ = [
 ]
 
 _NORM_OVERFLOW = 1e100
+# largest power of a step that _march multiplies by an anchor
+_POWER_CAP = 1e150
 
 
 class _LazyExpm:
@@ -131,26 +137,50 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     breaks down.  Rejects negative or non-finite t, and raises
     IntegrationError when the norm of S(t) passes 1e100.  The norm is at
     most 4 times the largest entry, so it is computed here only when that
-    entry passes 2.5e99, and otherwise on the sample's first read.
+    entry passes 2.5e99, and kept in the sample; otherwise it is computed
+    on the sample's first read.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         m = expm(t * assemble_matrix(p))
+    sample = PropagatorSample(t=t, matrix=m)
     if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
         nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
         if nrm > _NORM_OVERFLOW:
             raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
-    return PropagatorSample(t=t, matrix=m)
+        sample.__dict__["operator_norm"] = nrm  # the cached_property's slot
+    return sample
 
 
 def _march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-    """Stack of start, step @ start, ..., step^n @ start along axis 0."""
-    out = np.empty((n + 1,) + start.shape)
-    out[0] = start
-    for k in range(n):
-        np.matmul(step, out[k], out=out[k + 1])
-    return out
+    """Stack of start, step @ start, ..., step^n @ start along axis 0.
+
+    Blocked, with k about sqrt(n + 1): the powers P_i = step^i for
+    0 < i < k and the anchors a_j = (step^k)^j @ start take one product
+    each, and row j*k + i, P_i @ a_j, comes from one batched product, so
+    about 2 sqrt(n) products run one at a time.  A power past 1e150 ends
+    the powers early, so every power and step^k stay finite and a zero
+    start stays exactly zero; k = 1 is the plain loop.
+    """
+    d = len(step)
+    k = max(1, math.isqrt(n + 1))
+    powers = [step]
+    while len(powers) < k and np.abs(powers[-1]).max() <= _POWER_CAP:
+        powers.append(step @ powers[-1])
+    k = len(powers)
+    blocks = -(-(n + 1) // k)
+    cols = start.reshape(d, -1)
+    out = np.empty((blocks, k) + cols.shape)
+    out[0, 0] = cols
+    for j in range(blocks - 1):
+        np.matmul(powers[-1], out[j, 0], out=out[j + 1, 0])
+    if k > 1:
+        # every P_i times every anchor as one ((k-1)d x d) @ (d x blocks*c) product
+        anchors = np.moveaxis(out[:, 0], 0, 1).reshape(d, -1)
+        fill = np.concatenate(powers[:-1]) @ anchors
+        out[:, 1:] = fill.reshape(k - 1, d, blocks, -1).transpose(2, 0, 1, 3)
+    return out.reshape((blocks * k,) + start.shape)[: n + 1]
 
 
 def integrate(
@@ -166,10 +196,11 @@ def integrate(
     Q = diag(0, -1, 0, epsilon) holds the step S(dt) in its lower-right
     block, and S(dt)^T times its upper-right block is the Gram matrix
     W = int_0^dt exp(s A^T) Q exp(s A) ds (Van Loan 1978).  The states are
-    z_{k+1} = S(dt) z_k; ``dissipated`` sums z_k^T W z_k, independently of
-    the energies.  This is exact up to rounding, so ``tol`` (still required
-    > 0) no longer picks a step size.  Raises IntegrationError once a
-    state's norm passes 1e100.
+    z_m = S(dt)^m z0, stepped in blocks of about sqrt(samples) steps;
+    ``dissipated`` sums z_m^T W z_m, independently of the energies.  This
+    is exact up to rounding, so ``tol`` (still required > 0) no longer
+    picks a step size.  Raises IntegrationError once a state's norm
+    passes 1e100.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -290,11 +321,16 @@ def norm_growth_fit(
     the envelope touch points recur at a common phase, so they lie
     exactly on the trend and carry no oscillation bias.
 
-    Raises FitError if a sampled norm exceeds 1e100 or the fit residual
-    exceeds ``max_rms``.
+    Raises ValueError unless ``samples >= 4`` (one more than the trend
+    has coefficients) and ``t_max`` is finite and > 0, and FitError if a
+    sampled norm exceeds 1e100 or the fit residual exceeds ``max_rms``.
     """
+    if samples < 4:
+        raise ValueError(f"norm-growth fit needs samples >= 4, got {samples}")
     if t_max is None:
         t_max = 60.0 if growth_bound(p) > 1e-12 else 200.0
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     m = assemble_matrix(p)
     ts, dt = np.linspace(t_max / 2.0, t_max, samples, retstep=True)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -348,10 +384,13 @@ def periodic_portrait_check(
     with z0 = (1,0,0,0): a periodic verdict must recur to within
     ``recurrence_tol`` at T, an aperiodic one must not recur anywhere on
     a uniform grid over [0.5, t_max], stepped exactly by S(dt).
-    Violations, and a non-finite gap or orbit, raise IntegrationError.
+    Violations, and a non-finite gap or orbit, raise IntegrationError;
+    a ``t_max`` that is not finite and > 0.5 raises ValueError.
     """
     if not b > 1.0:
         raise ValueError(f"periodicity check requires b > 1, got {b}")
+    if not (t_max > 0.5 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be finite and > 0.5, got {t_max}")
     w_plus = (math.sqrt(b * b + 3.0) + math.sqrt(b * b - 1.0)) / 2.0
     ratio = w_plus * w_plus
     cond = 2.0 * b * b / math.sqrt((b * b + 3.0) * (b * b - 1.0))

@@ -124,6 +124,24 @@ def test_propagator_sample_computes_its_norm_once_on_first_read(monkeypatch):
         calls.clear()
 
 
+def test_propagator_keeps_the_norm_its_overflow_guard_computed(monkeypatch):
+    # at (2, 1), t = 283 the largest entry lies in (2.5e99, 1e100], so the
+    # guard needs the SVD; the first read must reuse it
+    calls = []
+    inner = sim.operator_norm
+
+    def counting(m):
+        calls.append(1)
+        return inner(m)
+
+    monkeypatch.setattr(sim, "operator_norm", counting)
+    sample = propagator(Params(2.0, 1.0), 283.0)
+    assert 2.5e99 < np.abs(sample.matrix).max() <= 1e100
+    first, second = sample.operator_norm, sample.operator_norm
+    assert len(calls) == 1
+    assert first == second == inner(sample.matrix)
+
+
 def test_criterion_7_reads_no_operator_norm(monkeypatch):
     calls = []
     monkeypatch.setattr(sim, "operator_norm", lambda m: calls.append(1))
@@ -174,6 +192,65 @@ def test_propagator_norm_decays_inside_envelope_at_optimal_coupling():
 
 
 # ---------------------------------------------------------------------------
+# blocked exact stepping
+# ---------------------------------------------------------------------------
+
+def _loop_march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+    """Reference for ``sim._march``: one product per step."""
+    out = np.empty((n + 1,) + start.shape)
+    out[0] = start
+    for k in range(n):
+        np.matmul(step, out[k], out=out[k + 1])
+    return out
+
+
+# decaying, bounded, blow-up; and a stiff step whose 8th power passes 1e150
+MARCH_STEPS = {
+    "decay": sim.expm(0.1 * assemble_matrix(Params(0.5, 0.75))),
+    "bounded": sim.expm(0.1 * assemble_matrix(Params(1.0, 2.0))),
+    "blowup": sim.expm(0.1 * assemble_matrix(Params(2.0, 1.0))),
+    "stiff": np.diag([1e20, 1e-20, 1.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 24, 25, 26, 399, 1200])
+@pytest.mark.parametrize("shape", [(4,), (4, 4)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("name", MARCH_STEPS)
+def test_march_matches_one_step_loop(name, shape, n):
+    step = MARCH_STEPS[name]
+    start = np.random.default_rng(n).standard_normal(shape)
+    if name == "stiff":
+        start[0] = 0.0  # step^j @ start stays finite up to 1.5^1200
+    got = sim._march(step, start, n)
+    want = _loop_march(step, start, n)
+    assert got.shape == want.shape == (n + 1,) + shape
+    axes = tuple(range(1, len(got.shape)))
+    scale = np.abs(want).max(axis=axes, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_march_takes_order_sqrt_n_python_level_products():
+    products = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(1)
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(
+                    o.view(np.ndarray) if isinstance(o, Counted) else o for o in kwargs["out"]
+                )
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+    step, start, n = MARCH_STEPS["bounded"], np.ones(4), 1200
+    got = sim._march(step.view(Counted), start, n)
+    np.testing.assert_array_equal(np.asarray(got), sim._march(step, start, n))
+    assert 1 <= len(products) <= 2 * math.isqrt(n + 1) + 2
+
+
+# ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
@@ -181,6 +258,13 @@ def test_integrate_zero_state_stays_zero():
     traj = integrate(Params(1.0, 2.0), State(0, 0, 0, 0), 5.0)
     assert np.all(traj.states == 0.0)
     assert np.all(traj.energies == 0.0)
+
+
+def test_integrate_zero_state_stays_zero_where_step_powers_overflow():
+    # S(125) at (2, 1) is about 1e44, so S(125)^28 is inf and inf * 0 is NaN
+    traj = integrate(Params(2.0, 1.0), State(0, 0, 0, 0), 1e5)
+    assert np.all(traj.states == 0.0)
+    assert np.all(traj.dissipated == 0.0)
 
 
 def test_integrate_validates_arguments():
@@ -244,7 +328,7 @@ def test_integrate_matches_independent_rk45_solver():
 
 
 def test_integrate_overflow_raises_integration_error():
-    with pytest.raises(IntegrationError, match="overflow guard"):
+    with pytest.raises(IntegrationError, match="overflow guard at t=285$"):
         integrate(Params(2.0, 1.0), State(1, 0, 0, 0), 1000.0)
 
 
@@ -406,6 +490,18 @@ def test_norm_growth_fit_aborts_on_overflow():
         norm_growth_fit(Params(2.0, 1.0), t_max=400.0)
 
 
+@pytest.mark.parametrize("samples", [0, 1, 2, 3])
+def test_norm_growth_fit_rejects_too_few_samples(samples):
+    with pytest.raises(ValueError, match="samples >= 4"):
+        norm_growth_fit(Params(0.5, 0.75), samples=samples)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+def test_norm_growth_fit_rejects_bad_horizon(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+        norm_growth_fit(Params(0.5, 0.75), t_max=t_max)
+
+
 def test_boundedness_certificates_over_long_horizon():
     for p in (Params(1.0, 2.0), Params(0.5, math.sqrt(0.5))):
         ts = np.linspace(0.5, 500.0, 500)
@@ -458,6 +554,12 @@ def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
 def test_periodicity_rejected_for_unit_coupling():
     with pytest.raises(ValueError):
         periodic_portrait_check(1.0)
+
+
+@pytest.mark.parametrize("t_max", [-5.0, 0.1, 0.5, math.inf, math.nan])
+def test_periodicity_rejects_horizon_before_the_grid_start(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite and > 0.5"):
+        periodic_portrait_check(math.sqrt(2.0), t_max=t_max)
 
 
 def test_no_recurrence_for_quadratic_irrational_ratio():

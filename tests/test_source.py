@@ -46,6 +46,53 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def export_mismatches(source: str) -> list[str]:
+    """Public top-level defs and classes missing from ``__all__``, and
+    ``__all__`` entries that no top-level statement binds."""
+    tree = ast.parse(source)
+    exported, bound, public = [], set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    missing = [f"not in __all__: {name}" for name in public if name not in exported]
+    return sorted(missing + [f"unbound: {name}" for name in exported if name not in bound])
+
+
+def test_export_check_flags_missing_and_unbound_names():
+    source = (
+        "import os.path\n"
+        "from math import cos as c\n"
+        "__all__ = ['f', 'C', 'c', 'os', 'X', 'Y', 'gone']\n"
+        "X: int = 1\n"
+        "Y, _z = 2, 3\n"
+        "def f():\n    pass\n"
+        "class C:\n    pass\n"
+        "def g():\n    pass\n"
+        "def _h():\n    pass\n"
+        "class D:\n    pass\n"
+    )
+    assert export_mismatches(source) == [
+        "not in __all__: D",
+        "not in __all__: g",
+        "unbound: gone",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_all_lists_every_public_name(path):
+    assert export_mismatches(path.read_text()) == []
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_names`` (def, class or assignment) that no module references.
 
