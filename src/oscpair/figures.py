@@ -14,7 +14,9 @@ velocity (fig3, fig4), numerical versus asymptotic solutions (fig5,
 fig6), the three energy regimes at eps = 1/2 (fig7), and decaying
 phase portraits at eps = 1/2 (fig8, fig9).  Each figure fixes its
 initial state; coupling values and time windows are chosen to make the
-qualitative behavior visible and are part of the defaults below.
+qualitative behavior visible.  One table, ``_CATALOGUE`` below, holds
+every figure's plot kind, epsilon, couplings, initial state and window,
+and everything else about a figure id is read from it.
 """
 
 from __future__ import annotations
@@ -40,13 +42,23 @@ __all__ = [
 
 ENERGY_OVERFLOW = 1e100
 
-FIGURE_IDS = tuple(f"fig{k}" for k in range(1, 10))
+# figure id: (plot kind, epsilon, couplings b, initial state, time window).
+# Plot kinds are "energy", "portrait" and "asymptotic".  fig2's coupling
+# comes from q and its window is the portrait's period, or 40 when the
+# portrait does not close (see default_figure_spec).
+_CATALOGUE = {
+    "fig1": ("energy", 1.0, (0.5, 1.0, 2.0), State(1, 0, 0, 0), 30.0),
+    "fig2": ("portrait", 1.0, (math.nan,), State(1, 0, 0, 0), 40.0),
+    "fig3": ("energy", 1.0, (1.5, 3.0, 10.0), State(1, 0, 0, 0), 70.0),
+    "fig4": ("energy", 1.0, (1.5, 3.0, 10.0), State(1, 0.5, 0, 0), 70.0),
+    "fig5": ("asymptotic", 1.0, (5.0,), State(1, 0.1, 0, 0), 20.0),
+    "fig6": ("asymptotic", 1.0, (20.0,), State(1, 0.1, 0, 0), 20.0),
+    "fig7": ("energy", 0.5, (0.35, math.sqrt(0.5), 1.5), State(1, 0, 0, 0), 40.0),
+    "fig8": ("portrait", 0.5, (1.0,), State(1, 1, 1, 1), 60.0),
+    "fig9": ("portrait", 0.5, (2.0,), State(1, 1, 1, 1), 60.0),
+}
 
-_PORTRAIT_FIGURES = {"fig2", "fig8", "fig9"}
-_ASYMPTOTIC_FIGURES = {"fig5", "fig6"}
-
-# three-regime comparison figures carry three parameter sets, the rest one
-_PARAM_COUNTS = {fig: (3 if fig in ("fig1", "fig3", "fig4", "fig7") else 1) for fig in FIGURE_IDS}
+FIGURE_IDS = tuple(_CATALOGUE)
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,7 @@ class FigureSpec:
     def __post_init__(self) -> None:
         if self.figure_id not in FIGURE_IDS:
             raise ValueError(f"unknown figure id {self.figure_id!r}")
-        want = _PARAM_COUNTS[self.figure_id]
+        want = len(_CATALOGUE[self.figure_id][2])
         if len(self.params) != want:
             raise ValueError(
                 f"{self.figure_id} requires {want} parameter set(s), got {len(self.params)}"
@@ -75,11 +87,11 @@ class FigureSpec:
 
     @property
     def portrait(self) -> bool:
-        return self.figure_id in _PORTRAIT_FIGURES
+        return _CATALOGUE[self.figure_id][0] == "portrait"
 
     @property
     def with_asymptotic(self) -> bool:
-        return self.figure_id in _ASYMPTOTIC_FIGURES
+        return _CATALOGUE[self.figure_id][0] == "asymptotic"
 
 
 def _b_from_q(q: float) -> float:
@@ -98,49 +110,18 @@ def default_figure_spec(
     """Built-in spec for fig1..fig9, with optional overrides."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}")
-    stem = output_stem if output_stem is not None else figure_id
-
-    if figure_id == "fig1":
-        bs, z, t = (0.5, 1.0, 2.0), State(1, 0, 0, 0), 30.0
-        eps = (1.0,) * 3
-    elif figure_id == "fig2":
+    _, eps, bs, z, t = _CATALOGUE[figure_id]
+    if figure_id == "fig2":
         b = _b_from_q(q)
         periodic, period = periodic_portrait_check(b)
-        bs, z = (b,), State(1, 0, 0, 0)
-        t = period if periodic else 40.0
-        eps = (1.0,)
-    elif figure_id == "fig3":
-        bs, z, t = (1.5, 3.0, 10.0), State(1, 0, 0, 0), 70.0
-        eps = (1.0,) * 3
-    elif figure_id == "fig4":
-        bs, z, t = (1.5, 3.0, 10.0), State(1, 0.5, 0, 0), 70.0
-        eps = (1.0,) * 3
-    elif figure_id == "fig5":
-        bs, z, t = (5.0,), State(1, 0.1, 0, 0), 20.0
-        eps = (1.0,)
-    elif figure_id == "fig6":
-        bs, z, t = (20.0,), State(1, 0.1, 0, 0), 20.0
-        eps = (1.0,)
-    elif figure_id == "fig7":
-        root = math.sqrt(0.5)
-        bs, z, t = (0.35, root, 1.5), State(1, 0, 0, 0), 40.0
-        eps = (0.5,) * 3
-    elif figure_id == "fig8":
-        bs, z, t = (1.0,), State(1, 1, 1, 1), 60.0
-        eps = (0.5,)
-    else:  # fig9
-        bs, z, t = (2.0,), State(1, 1, 1, 1), 60.0
-        eps = (0.5,)
-
-    params = tuple(Params(e, b) for e, b in zip(eps, bs))
-    labels = tuple(f"epsilon={e:g} b={b:g}" for e, b in zip(eps, bs))
+        bs, t = (b,), (period if periodic else t)
     return FigureSpec(
         figure_id=figure_id,
-        params=params,
+        params=tuple(Params(eps, b) for b in bs),
         z0=z0 if z0 is not None else z,
         t_end=t_end if t_end is not None else t,
-        output_stem=stem,
-        labels=labels,
+        output_stem=output_stem if output_stem is not None else figure_id,
+        labels=tuple(f"epsilon={eps:g} b={b:g}" for b in bs),
     )
 
 
@@ -151,7 +132,8 @@ def _block_trajectory(p: Params, spec: FigureSpec, tol: float, samples: int) -> 
     truncated = False
     if omega > 1e-9:
         e0 = max(energy(spec.z0), 1e-12)
-        t_over = (math.log(ENERGY_OVERFLOW) - math.log(2.0 * e0)) / (2.0 * omega)
+        # zero when the start is already past the cap, so a one-unit window is left
+        t_over = max(0.0, (math.log(ENERGY_OVERFLOW) - math.log(2.0 * e0)) / (2.0 * omega))
         if t_over < t_end:
             t_end = min(t_end, 1.02 * t_over + 1.0)
             truncated = True

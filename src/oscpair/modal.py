@@ -59,12 +59,12 @@ class ModeFamily:
     label: str = ""
 
     def __init__(self, mu: Iterable[float], label: str = "") -> None:
-        values = sorted({float(m) for m in mu})
-        if not values:
+        values = np.unique(np.fromiter(mu, float))
+        if not values.size:
             raise ValueError("mode family must contain at least one eigenvalue")
-        if values[0] <= 0.0 or not all(math.isfinite(m) for m in values):
+        if values[0] <= 0.0 or not np.isfinite(values).all():
             raise ValueError("operator eigenvalues must be finite and > 0")
-        object.__setattr__(self, "mu", tuple(values))
+        object.__setattr__(self, "mu", tuple(values.tolist()))
         object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:

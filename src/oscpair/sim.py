@@ -12,10 +12,11 @@ k ~ sqrt(n), z_{jk+i} = S(dt)^i z_{jk}: the powers and the block starts
 take one product each and every other state comes from one batched
 product, so a grid costs about 2 sqrt(n) Python-level products, not n.
 A trajectory also carries the integral of epsilon*y^2 - x^2 over each
-step, from the same 8x8 block exponential (Van Loan 1978), so it checks
-itself against the exact energy balance
-E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  Norms past 1e100 raise a
-typed error instead of overflowing to inf or NaN.
+step, from the same 8x8 block exponential (Van Loan 1978; a long step
+is taken as 2^k shorter ones and doubled back), so it checks itself
+against the exact energy balance E(t) - E(0) = int_0^t (epsilon*y^2 -
+x^2) ds.  Norms past 1e100 raise a typed error instead of overflowing
+to inf or NaN.
 
 Every matrix exponential goes through the module name ``expm``, which
 imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
@@ -54,6 +55,8 @@ __all__ = [
 _NORM_OVERFLOW = 1e100
 # largest power of a step that _march multiplies by an anchor
 _POWER_CAP = 1e150
+# largest entry of exp(-h A^T) in integrate's Van Loan block of step h
+_CORNER_CAP = 100.0
 
 
 class _LazyExpm:
@@ -146,10 +149,9 @@ def propagator(p: Params, t: float) -> PropagatorSample:
         m = expm(t * assemble_matrix(p))
     sample = PropagatorSample(t=t, matrix=m)
     if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
-        nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
+        nrm = sample.operator_norm if np.isfinite(m).all() else math.inf
         if nrm > _NORM_OVERFLOW:
             raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
-        sample.__dict__["operator_norm"] = nrm  # the cached_property's slot
     return sample
 
 
@@ -199,8 +201,10 @@ def integrate(
     z_m = S(dt)^m z0, stepped in blocks of about sqrt(samples) steps;
     ``dissipated`` sums z_m^T W z_m, independently of the energies.  This
     is exact up to rounding, so ``tol`` (still required > 0) no longer
-    picks a step size.  Raises IntegrationError once a state's norm
-    passes 1e100.
+    picks a step size.  Where the block's exp(-dt A^T) corner passes 100,
+    as for long steps in the decay regime, S and W come from the block
+    over dt/2^k and k doublings, W <- W + S^T W S and S <- S S.  Raises
+    IntegrationError once a state's norm passes 1e100.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -212,12 +216,22 @@ def integrate(
     m = assemble_matrix(p)
     q = np.diag([0.0, -1.0, 0.0, p.epsilon])
     block = np.block([[-m.T, q], [np.zeros((4, 4)), m]])
+    dt, k = t_end / samples, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        van_loan = expm((t_end / samples) * block)
-    if not np.isfinite(van_loan).all():
-        raise IntegrationError(f"step exponential overflows at dt={t_end / samples:g}")
-    step = van_loan[4:, 4:]
-    gram = step.T @ van_loan[:4, 4:]
+        van_loan = expm(dt * block)
+        corner = np.abs(van_loan[:4, :4]).max()
+        if _CORNER_CAP < corner < math.inf:
+            # exp(-dt A^T) grows where S(dt) decays and its rounding, about
+            # 1e-16 corner^2 in W, would swamp both: take dt/2^k, then double
+            k = math.ceil(math.log2(math.log(corner) / math.log(_CORNER_CAP)))
+            van_loan = expm((dt / 2**k) * block)
+        step = van_loan[4:, 4:]
+        gram = step.T @ van_loan[:4, 4:]
+        for _ in range(k):  # W(2h) = W(h) + S(h)^T W(h) S(h), S(2h) = S(h)^2
+            gram = gram + step.T @ gram @ step
+            step = step @ step
+    if not all(np.isfinite(a).all() for a in (van_loan, step, gram)):
+        raise IntegrationError(f"step exponential overflows at dt={dt:g}")
 
     times = np.linspace(0.0, t_end, samples + 1)
     with np.errstate(over="ignore", invalid="ignore"):

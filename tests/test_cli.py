@@ -141,6 +141,33 @@ def test_fig2_window_is_the_period_at_large_q(tmp_path, capsys):
     assert block["t"][-1] == pytest.approx(200.0 * math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("fig", ["fig1", "fig7"])
+def test_figure_start_past_the_energy_cap_writes_empty_blocks(tmp_path, capsys, fig):
+    # E0 = 5e119: every block, blow-up ones included, is cut at t = 0
+    code, _, err = run_cli(capsys, "figure", fig, "--z0=1e60,0,0,0", "--out", str(tmp_path / fig))
+    assert code == 0, err
+    csv_path = tmp_path / f"{fig}.csv"
+    assert csv_path.read_text().count("# truncated: E > 1e+100 beyond this point") == 3
+    assert parse_figure_csv(csv_path) == []
+
+
+def test_figure_start_whose_energy_overflows_is_a_numerical_failure(tmp_path, capsys):
+    argv = ["figure", "fig1", "--z0=1e200,0,0,0", "--out", str(tmp_path / "f1")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "numerical failure: state norm exceeds overflow guard at t=0\n"
+
+
+def test_fig8_decays_over_a_long_window(tmp_path, capsys):
+    # dt = 1e6/1200: one Van Loan block over dt loses the decaying step
+    argv = ["figure", "fig8", "--t-end", "1e6", "--out", str(tmp_path / "f8")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    block = parse_figure_csv(tmp_path / "f8.csv")[0]
+    assert block["t"][-1] == 1e6
+    assert block["E"].max() == block["E"][0] and block["E"][-1] < 1e-300
+
+
 def test_figure_rejects_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "figure", "fig42")
     assert code == 1

@@ -51,6 +51,54 @@ def test_fig2_period_sets_time_window():
     assert spec.t_end == pytest.approx(4 * math.pi, rel=1e-12)
 
 
+# epsilon, couplings, initial state, window, portrait, with_asymptotic (fig2 at q = 4)
+DEFAULT_SPECS = {
+    "fig1": (1.0, (0.5, 1.0, 2.0), State(1, 0, 0, 0), 30.0, False, False),
+    "fig2": (1.0, (math.sqrt(3.25),), State(1, 0, 0, 0), 4.0 * math.pi, True, False),
+    "fig3": (1.0, (1.5, 3.0, 10.0), State(1, 0, 0, 0), 70.0, False, False),
+    "fig4": (1.0, (1.5, 3.0, 10.0), State(1, 0.5, 0, 0), 70.0, False, False),
+    "fig5": (1.0, (5.0,), State(1, 0.1, 0, 0), 20.0, False, True),
+    "fig6": (1.0, (20.0,), State(1, 0.1, 0, 0), 20.0, False, True),
+    "fig7": (0.5, (0.35, math.sqrt(0.5), 1.5), State(1, 0, 0, 0), 40.0, False, False),
+    "fig8": (0.5, (1.0,), State(1, 1, 1, 1), 60.0, True, False),
+    "fig9": (0.5, (2.0,), State(1, 1, 1, 1), 60.0, True, False),
+}
+
+
+@pytest.mark.parametrize("fig", DEFAULT_SPECS)
+def test_default_spec_catalogue(fig):
+    eps, bs, z0, t_end, portrait, asymptotic = DEFAULT_SPECS[fig]
+    spec = default_figure_spec(fig)
+    assert spec.params == tuple(Params(eps, b) for b in bs)
+    assert spec.labels == tuple(f"epsilon={eps:g} b={b:g}" for b in bs)
+    assert spec.z0 == z0 and spec.output_stem == fig
+    assert spec.t_end == pytest.approx(t_end, rel=1e-12)
+    assert (spec.portrait, spec.with_asymptotic) == (portrait, asymptotic)
+    extra = spec.params + spec.params[:1]
+    want = rf"^{fig} requires {len(bs)} parameter set\(s\), got {len(bs) + 1}$"
+    with pytest.raises(ValueError, match=want):
+        FigureSpec(fig, extra, z0, t_end, fig)
+
+
+def test_catalogue_lists_every_figure_in_order():
+    assert FIGURE_IDS == tuple(DEFAULT_SPECS) == tuple(f"fig{k}" for k in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "q, b, t_end",
+    [
+        (1e4, math.sqrt(1e4 + 1e-4 - 1.0), 200.0 * math.pi),
+        (math.sqrt(2.0), math.sqrt(math.sqrt(2.0) + 1.0 / math.sqrt(2.0) - 1.0), 40.0),
+    ],
+    ids=["q=1e4", "aperiodic"],
+)
+def test_fig2_coupling_and_window_come_from_q(q, b, t_end):
+    spec = default_figure_spec("fig2", q=q)
+    assert spec.params == (Params(1.0, b),)
+    assert spec.t_end == pytest.approx(t_end, rel=1e-12)
+    assert spec.z0 == State(1, 0, 0, 0) and spec.portrait
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         default_figure_spec("fig10")
@@ -174,6 +222,9 @@ def row_by_row_csv(spec, samples):
     return "\n".join(lines) + "\n"
 
 
+MORE_DEFAULTS = ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9")
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -181,8 +232,9 @@ def row_by_row_csv(spec, samples):
         default_figure_spec("fig5", z0=State(0.5, -0.3, 0.2, 0.7)),
         default_figure_spec("fig1"),
         FigureSpec("fig9", (Params(2.0, 1.0),), State(1, 0, 0, 0), 300.0, "boom"),
+        *(default_figure_spec(fig) for fig in MORE_DEFAULTS),
     ],
-    ids=["fig5", "fig5-z0", "fig1", "truncated"],
+    ids=["fig5", "fig5-z0", "fig1", "truncated", *MORE_DEFAULTS],
 )
 def test_csv_equals_row_by_row_reference(tmp_path, spec):
     csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)

@@ -162,6 +162,20 @@ def test_mode_family_normalizes_and_validates():
         ModeFamily([0.0])
 
 
+def test_mode_family_takes_any_iterable_and_rejects_non_finite_values():
+    mu = np.random.default_rng(2).uniform(0.5, 50.0, 1000).round(1)
+    want = tuple(sorted({float(m) for m in mu}))
+    for values in (mu, mu.tolist(), (float(m) for m in mu), map(str, mu.tolist())):
+        family = ModeFamily(values)
+        assert family.mu == want
+        assert all(type(m) is float for m in family.mu)
+    for bad in ([1.0, math.nan], [math.inf, 2.0], [-math.inf]):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ModeFamily(bad)
+    with pytest.raises(ValueError, match="at least one"):
+        ModeFamily(iter(()))
+
+
 def test_threshold_reference_values():
     assert threshold_check(ModeFamily([math.pi**2]), 0.5)
     assert not threshold_check(ModeFamily([0.01]), 0.5)

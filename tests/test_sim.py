@@ -292,6 +292,22 @@ def test_integrate_consistent_with_propagator_and_energy_balance():
         assert step.max() <= tol * e_scale
 
 
+@pytest.mark.parametrize("t_end", [800.0, 1800.0])
+def test_integrate_long_steps_in_the_decay_regime(t_end):
+    # dt = t_end/8 up to 225: exp(-dt A^T) in the Van Loan block reaches
+    # about 1e16 while S(dt) decays to about 1e-9
+    p, z0, tol = Params(0.5, 1.0), np.ones(4), 1e-10
+    traj = integrate(p, State.from_array(z0), t_end, tol=tol, samples=8)
+    want = np.array([propagator(p, t).matrix @ z0 for t in traj.times.tolist()])
+    scale = 1.0 + float(np.abs(want).max())
+    assert np.abs(traj.states - want).max() <= 10.0 * tol * scale
+    resid = (traj.energies - traj.energies[0]) - traj.dissipated
+    e_scale = 1.0 + float(traj.energies.max())
+    assert np.abs(resid).max() <= 100.0 * tol * e_scale
+    step = np.abs(np.diff(traj.energies) - np.diff(traj.dissipated))
+    assert step.max() <= tol * e_scale
+
+
 def _rk45_oracle(p: Params, z0: np.ndarray, t_end: float, samples: int):
     """Adaptive RK45 on z' = A z, carrying the integral of eps*y^2 - x^2."""
     m = assemble_matrix(p)
