@@ -154,7 +154,7 @@ def _criterion_6() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         z0 = State.from_array(rng.standard_normal(4))
-        traj = integrate(p, z0, 50.0, tol=1e-10, samples=500)
+        traj = integrate(p, z0, 50.0, samples=500)
         exact = [explicit_solution_eps1_b1(z0, float(t)).as_array() for t in traj.times]
         worst = max(worst, float(np.abs(traj.states - exact).max()))
     return worst <= 1e-7, f"max deviation {worst:.2e} (<=1e-7) over 10 random z0"
@@ -195,7 +195,6 @@ def _criterion_8() -> tuple[bool, str]:
 def _criterion_9() -> tuple[bool, str]:
     """Energy balance |dE - integral of (eps*y^2 - x^2)| on trajectories."""
     rng = np.random.default_rng(_SEED + 9)
-    tol = 1e-10
     cases = [
         (Params(1.0, 1.0), 50.0),
         (Params(0.5, 0.75), 50.0),
@@ -207,10 +206,10 @@ def _criterion_9() -> tuple[bool, str]:
     worst = 0.0
     for p, t_end in cases:
         z0 = State.from_array(rng.standard_normal(4))
-        traj = integrate(p, z0, t_end, tol=tol)
+        traj = integrate(p, z0, t_end)
         resid = np.abs((traj.energies - traj.energies[0]) - traj.dissipated)
         worst = max(worst, float(resid.max()))
-    return worst <= 100.0 * tol, f"max balance residual {worst:.2e} (<={100 * tol:.0e})"
+    return worst <= 1e-8, f"max balance residual {worst:.2e} (<=1e-08)"
 
 
 def _criterion_10() -> tuple[bool, str]:

@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--q", type=float, default=4.0, help="rational parameter for fig2")
     p_fig.add_argument("--t-end", type=float, default=None)
     p_fig.add_argument("--z0", type=_parse_state, default=None)
-    p_fig.add_argument("--tol", type=float, default=1e-10)
 
     p_swp = sub.add_parser("sweep", help="growth bound over a coupling range")
     p_swp.add_argument("--epsilon", type=float, required=True)
@@ -127,7 +126,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         t_end=args.t_end,
         z0=args.z0,
     )
-    csv_path, plot_path = write_figure(spec, tol=args.tol)
+    csv_path, plot_path = write_figure(spec)
     print(f"wrote {csv_path}")
     print(f"wrote {plot_path}")
     return EXIT_OK

@@ -125,7 +125,7 @@ def default_figure_spec(
     )
 
 
-def _block_trajectory(p: Params, spec: FigureSpec, tol: float, samples: int) -> tuple[Trajectory, bool]:
+def _block_trajectory(p: Params, spec: FigureSpec, samples: int) -> tuple[Trajectory, bool]:
     """Integrate one block, stopping early if the energy would overflow."""
     t_end = spec.t_end
     omega = growth_bound(p)
@@ -137,13 +137,11 @@ def _block_trajectory(p: Params, spec: FigureSpec, tol: float, samples: int) -> 
         if t_over < t_end:
             t_end = min(t_end, 1.02 * t_over + 1.0)
             truncated = True
-    traj = integrate(p, spec.z0, t_end, tol=tol, samples=samples)
-    return traj, truncated
+    return integrate(p, spec.z0, t_end, samples=samples), truncated
 
 
 def write_figure(
     spec: FigureSpec,
-    tol: float = 1e-10,
     samples: int = 1200,
     directory: str | Path = ".",
 ) -> tuple[Path, Path]:
@@ -173,7 +171,7 @@ def write_figure(
         if k > 0:
             lines.append("")
         lines.append(f"# block {k}: {labels[k]}")
-        traj, truncated = _block_trajectory(p, spec, tol, samples)
+        traj, truncated = _block_trajectory(p, spec, samples)
         over = np.flatnonzero(traj.energies > ENERGY_OVERFLOW)
         n = over[0] if over.size else traj.times.size
         truncated |= over.size > 0

@@ -12,11 +12,11 @@ k ~ sqrt(n), z_{jk+i} = S(dt)^i z_{jk}: the powers and the block starts
 take one product each and every other state comes from one batched
 product, so a grid costs about 2 sqrt(n) Python-level products, not n.
 A trajectory also carries the integral of epsilon*y^2 - x^2 over each
-step, from the same 8x8 block exponential (Van Loan 1978; a long step
-is taken as 2^k shorter ones and doubled back), so it checks itself
-against the exact energy balance E(t) - E(0) = int_0^t (epsilon*y^2 -
-x^2) ds.  Norms past 1e100 raise a typed error instead of overflowing
-to inf or NaN.
+step, from one 8x8 block exponential (Van Loan 1978; a long step is
+taken as 2^k shorter ones, k fixed in advance by dt*||A||_1, and
+doubled back), and checks each step against the exact energy balance
+E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  A step that misses it by
+1e-6 (1 + E), or a norm past 1e100, raises a typed error.
 
 Every matrix exponential goes through the module name ``expm``, which
 imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
@@ -57,6 +57,8 @@ _NORM_OVERFLOW = 1e100
 _POWER_CAP = 1e150
 # largest entry of exp(-h A^T) in integrate's Van Loan block of step h
 _CORNER_CAP = 100.0
+# largest |dE - z^T W z| / (1 + E) on one step of integrate
+_DRIFT_CAP = 1e-6
 
 
 class _LazyExpm:
@@ -189,42 +191,40 @@ def integrate(
     p: Params,
     z0: State,
     t_end: float,
-    tol: float = 1e-10,
     samples: int = 800,
 ) -> Trajectory:
     """Exact trajectory of z' = A z from z0 on ``samples`` equal steps.
 
-    With dt = t_end/samples, expm(dt * [[-A^T, Q], [0, A]]) with
-    Q = diag(0, -1, 0, epsilon) holds the step S(dt) in its lower-right
-    block, and S(dt)^T times its upper-right block is the Gram matrix
-    W = int_0^dt exp(s A^T) Q exp(s A) ds (Van Loan 1978).  The states are
-    z_m = S(dt)^m z0, stepped in blocks of about sqrt(samples) steps;
-    ``dissipated`` sums z_m^T W z_m, independently of the energies.  This
-    is exact up to rounding, so ``tol`` (still required > 0) no longer
-    picks a step size.  Where the block's exp(-dt A^T) corner passes 100,
-    as for long steps in the decay regime, S and W come from the block
-    over dt/2^k and k doublings, W <- W + S^T W S and S <- S S.  Raises
-    IntegrationError once a state's norm passes 1e100.
+    With dt = t_end/samples, expm(h * [[-A^T, Q], [0, A]]) with
+    Q = diag(0, -1, 0, epsilon) holds the step S(h) in its lower-right
+    block, and S(h)^T times its upper-right block is the Gram matrix
+    W = int_0^h exp(s A^T) Q exp(s A) ds (Van Loan 1978).  The block is
+    exponentiated once, at h = dt/2^k for the least k with
+    h*||A||_1 < ln 100, which bounds its exp(-h A^T) corner by 100: that
+    corner grows where S decays, and its rounding would swamp W.  Then
+    k doublings, W <- W + S^T W S and S <- S S, give S(dt) and W(dt).
+    The states are z_m = S(dt)^m z0, stepped in blocks of about
+    sqrt(samples) steps; ``dissipated`` sums z_m^T W z_m, independently
+    of the energies.  Raises IntegrationError once a state's norm passes
+    1e100, and for a step too long to resolve: one whose energy change
+    and z_m^T W z_m differ by more than 1e-6 (1 + E_m).
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
     m = assemble_matrix(p)
     q = np.diag([0.0, -1.0, 0.0, p.epsilon])
     block = np.block([[-m.T, q], [np.zeros((4, 4)), m]])
-    dt, k = t_end / samples, 0
+    dt = t_end / samples
+    # |exp(-h A^T)| <= exp(h ||A||_1) entrywise; the least k with reach < 2^k is frexp's
+    reach = dt * float(np.linalg.norm(m, 1)) / math.log(_CORNER_CAP)
+    if not math.isfinite(reach):
+        raise IntegrationError(f"step exponential overflows at dt={dt:g}")
+    k = max(0, math.frexp(reach)[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        van_loan = expm(dt * block)
-        corner = np.abs(van_loan[:4, :4]).max()
-        if _CORNER_CAP < corner < math.inf:
-            # exp(-dt A^T) grows where S(dt) decays and its rounding, about
-            # 1e-16 corner^2 in W, would swamp both: take dt/2^k, then double
-            k = math.ceil(math.log2(math.log(corner) / math.log(_CORNER_CAP)))
-            van_loan = expm((dt / 2**k) * block)
+        van_loan = expm(math.ldexp(dt, -k) * block)
         step = van_loan[4:, 4:]
         gram = step.T @ van_loan[:4, 4:]
         for _ in range(k):  # W(2h) = W(h) + S(h)^T W(h) S(h), S(2h) = S(h)^2
@@ -237,11 +237,14 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         states = _march(step, z0.as_array(), samples)
         energies = 0.5 * np.sum(states * states, axis=1)
+        gains = np.sum((states[:-1] @ gram) * states[:-1], axis=1)
+        drift = np.abs(np.diff(energies) - gains) / (1.0 + energies[:-1])
     # E = |z|^2 / 2, so this flags |z| > 1e100; the negation also flags NaN
     over = np.flatnonzero(~(energies <= 0.5 * _NORM_OVERFLOW**2))
     if over.size:
         raise IntegrationError(f"state norm exceeds overflow guard at t={times[over[0]]:g}")
-    gains = np.sum((states[:-1] @ gram) * states[:-1], axis=1)
+    if not drift.max() <= _DRIFT_CAP:
+        raise IntegrationError(f"step too long to resolve at dt={dt:g}: drift {drift.max():.3e}")
     return Trajectory(
         times=times,
         states=states,
@@ -398,11 +401,11 @@ def periodic_portrait_check(
     with z0 = (1,0,0,0): a periodic verdict must recur to within
     ``recurrence_tol`` at T, an aperiodic one must not recur anywhere on
     a uniform grid over [0.5, t_max], stepped exactly by S(dt).
-    Violations, and a non-finite gap or orbit, raise IntegrationError;
-    a ``t_max`` that is not finite and > 0.5 raises ValueError.
+    Violations, and a non-finite gap or orbit, raise IntegrationError,
+    and ValueError unless b > 1 and ``t_max`` > 0.5 are both finite.
     """
-    if not b > 1.0:
-        raise ValueError(f"periodicity check requires b > 1, got {b}")
+    if not (b > 1.0 and math.isfinite(b)):
+        raise ValueError(f"periodicity check requires finite b > 1, got {b}")
     if not (t_max > 0.5 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0.5, got {t_max}")
     w_plus = (math.sqrt(b * b + 3.0) + math.sqrt(b * b - 1.0)) / 2.0

@@ -168,6 +168,34 @@ def test_fig8_decays_over_a_long_window(tmp_path, capsys):
     assert block["E"].max() == block["E"][0] and block["E"][-1] < 1e-300
 
 
+def test_fig8_decays_to_zero_when_the_step_corner_would_overflow(tmp_path, capsys):
+    # dt = 83,333: exp(-dt A^T) overflows, so the doubling count comes from a bound
+    argv = ["figure", "fig8", "--t-end", "1e8", "--out", str(tmp_path / "f8")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    block = parse_figure_csv(tmp_path / "f8.csv")[0]
+    assert block["t"][-1] == 1e8
+    assert all(block[c][-1] == 0.0 for c in ("u", "x", "v", "y", "E"))
+
+
+def test_figure_step_too_long_to_resolve_is_a_numerical_failure(tmp_path, capsys):
+    argv = ["figure", "fig6", "--t-end", "1e17", "--out", str(tmp_path / "f6")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("numerical failure: step too long to resolve at dt=8.33333e+13")
+
+
+def test_figure_has_no_tol_option(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "figure", "fig1", "--tol", "1e-8", "--out", str(tmp_path / "f1"))
+    assert code == 1 and "--tol" in err
+
+
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_figure_rejects_non_finite_q(tmp_path, capsys, q):
+    code, _, err = run_cli(capsys, "figure", "fig2", "--q", q, "--out", str(tmp_path / "f2"))
+    assert code == 1, err
+
+
 def test_figure_rejects_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "figure", "fig42")
     assert code == 1

@@ -125,7 +125,7 @@ def test_figure_csv_round_trips_exactly(tmp_path):
     from oscpair.sim import integrate
 
     for block, p in zip(blocks, spec.params):
-        traj = integrate(p, spec.z0, spec.t_end, tol=1e-10, samples=150)
+        traj = integrate(p, spec.z0, spec.t_end, samples=150)
         # shortest round-trip floats reparse bit-exactly
         assert np.array_equal(block["t"], traj.times)
         assert np.array_equal(block["u"], traj.states[:, 0])
@@ -207,7 +207,7 @@ def row_by_row_csv(spec, samples):
         if k > 0:
             lines.append("")
         lines.append(f"# block {k}: epsilon={p.epsilon:g} b={p.b:g}")
-        traj, truncated = _block_trajectory(p, spec, 1e-10, samples)
+        traj, truncated = _block_trajectory(p, spec, samples)
         for t, state, e in zip(traj.times, traj.states, traj.energies):
             if e > 1e100:
                 truncated = True

@@ -271,8 +271,6 @@ def test_integrate_validates_arguments():
     p = Params(1.0, 1.0)
     with pytest.raises(ValueError):
         integrate(p, State(1, 0, 0, 0), -1.0)
-    with pytest.raises(ValueError):
-        integrate(p, State(1, 0, 0, 0), 1.0, tol=0.0)
 
 
 def test_integrate_consistent_with_propagator_and_energy_balance():
@@ -280,7 +278,7 @@ def test_integrate_consistent_with_propagator_and_energy_balance():
     tol = 1e-10
     for p in SIM_GRID:
         z0 = rng.standard_normal(4)
-        traj = integrate(p, State.from_array(z0), 10.0, tol=tol, samples=200)
+        traj = integrate(p, State.from_array(z0), 10.0, samples=200)
         want = propagator(p, 10.0).matrix @ z0
         scale = 1.0 + float(np.abs(want).max())
         assert np.abs(traj.states[-1] - want).max() <= 10.0 * tol * scale
@@ -292,12 +290,12 @@ def test_integrate_consistent_with_propagator_and_energy_balance():
         assert step.max() <= tol * e_scale
 
 
-@pytest.mark.parametrize("t_end", [800.0, 1800.0])
+@pytest.mark.parametrize("t_end", [800.0, 1800.0, 1e8])
 def test_integrate_long_steps_in_the_decay_regime(t_end):
     # dt = t_end/8 up to 225: exp(-dt A^T) in the Van Loan block reaches
     # about 1e16 while S(dt) decays to about 1e-9
     p, z0, tol = Params(0.5, 1.0), np.ones(4), 1e-10
-    traj = integrate(p, State.from_array(z0), t_end, tol=tol, samples=8)
+    traj = integrate(p, State.from_array(z0), t_end, samples=8)
     want = np.array([propagator(p, t).matrix @ z0 for t in traj.times.tolist()])
     scale = 1.0 + float(np.abs(want).max())
     assert np.abs(traj.states - want).max() <= 10.0 * tol * scale
@@ -348,11 +346,34 @@ def test_integrate_overflow_raises_integration_error():
         integrate(Params(2.0, 1.0), State(1, 0, 0, 0), 1000.0)
 
 
+def test_integrate_shortest_window_keeps_the_initial_state():
+    # dt = 5e-324/800 is 0: no doublings, and the rows are z0 exactly
+    z0 = State(1.0, -2.0, 0.5, 3.0)
+    traj = integrate(Params(0.5, 0.75), z0, 5e-324)
+    assert np.all(traj.states == z0.as_array())
+    assert np.all(traj.dissipated == 0.0)
+
+
+def test_integrate_step_whose_bound_overflows_raises_integration_error():
+    # dt * ||A||_1 is inf, so no doubling count exists
+    with pytest.raises(IntegrationError, match="step exponential overflows"):
+        integrate(Params(0.5, 1.0), State(1, 0, 0, 0), 1.7e308, samples=1)
+
+
+@pytest.mark.parametrize("p, z0", [(Params(1.0, 20.0), State(1, 0.1, 0, 0)),
+                                   (Params(1.0, 10.0), State(1, 0, 0, 0))])
+def test_integrate_rejects_steps_too_long_to_resolve(p, z0):
+    # bounded regime, dt = 8.3e13: the step's energy change and z^T W z
+    # disagree by 1e-3 or more of the energy, and the energies are wrong
+    with pytest.raises(IntegrationError, match="step too long to resolve"):
+        integrate(p, z0, 1e17, samples=1200)
+
+
 def test_integrate_matches_explicit_solution_over_long_window():
     rng = np.random.default_rng(5)
     p = Params(1.0, 1.0)
     z0 = State.from_array(rng.standard_normal(4))
-    traj = integrate(p, z0, 50.0, tol=1e-10, samples=400)
+    traj = integrate(p, z0, 50.0, samples=400)
     worst = max(
         float(np.abs(traj.states[k] - explicit_solution_eps1_b1(z0, float(t)).as_array()).max())
         for k, t in enumerate(traj.times)
@@ -572,6 +593,12 @@ def test_periodicity_rejected_for_unit_coupling():
         periodic_portrait_check(1.0)
 
 
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_periodicity_rejects_non_finite_coupling(b):
+    with pytest.raises(ValueError, match="requires finite b > 1"):
+        periodic_portrait_check(b)
+
+
 @pytest.mark.parametrize("t_max", [-5.0, 0.1, 0.5, math.inf, math.nan])
 def test_periodicity_rejects_horizon_before_the_grid_start(t_max):
     with pytest.raises(ValueError, match="t_max must be finite and > 0.5"):
@@ -652,6 +679,7 @@ def test_every_exponential_goes_through_sim_expm(monkeypatch):
     expected = [
         (lambda: propagator(p, 1.0), [(4, 4)]),
         (lambda: integrate(p, State(1.0, 0.0, 0.0, 0.0), 10.0), [(8, 8)]),
+        (lambda: integrate(Params(0.5, 1.0), State(1, 1, 1, 1), 1800.0, samples=8), [(8, 8)]),
         (lambda: norm_growth_fit(p), [(4, 4)] * 2),
         (lambda: periodic_portrait_check(math.sqrt(4.0 + 0.25 - 1.0)), [(4, 4)]),
         (lambda: periodic_portrait_check(math.sqrt(2.0)), [(4, 4)] * 2),
