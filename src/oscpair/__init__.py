@@ -9,7 +9,7 @@ checking, finds the optimal coupling, and extends the analysis mode by
 mode to systems with a general positive stiffness operator.
 """
 
-from .core import Params, State, assemble_matrix, energy, energy_rate
+from .core import Params, State, assemble_matrices, assemble_matrix, energy, energy_rate
 from .figures import FigureSpec, default_figure_spec, write_figure
 from .modal import (
     FamilyBound,
@@ -28,6 +28,7 @@ from .sim import (
     PropagatorSample,
     Trajectory,
     asymptotic_propagator,
+    explicit_propagator_eps1_b1,
     explicit_solution_eps1_b1,
     integrate,
     norm_growth_fit,
@@ -56,6 +57,7 @@ __all__ = [
     "Params",
     "State",
     "assemble_matrix",
+    "assemble_matrices",
     "energy",
     "energy_rate",
     "Spectrum",
@@ -79,6 +81,7 @@ __all__ = [
     "propagator",
     "integrate",
     "explicit_solution_eps1_b1",
+    "explicit_propagator_eps1_b1",
     "asymptotic_propagator",
     "norm_growth_fit",
     "periodic_portrait_check",

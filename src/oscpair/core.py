@@ -25,6 +25,7 @@ __all__ = [
     "Params",
     "State",
     "assemble_matrix",
+    "assemble_matrices",
     "energy",
     "energy_rate",
 ]
@@ -80,21 +81,56 @@ class State:
         return cls(u, x, v, y)
 
 
+# A at epsilon = b = 0; _couple sets the three entries that depend on them
+_A0 = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
+_A0.flags.writeable = False
+
+
+def _couple(m: np.ndarray, epsilon, b) -> np.ndarray:
+    """Write b, -b and epsilon into a copy of ``_A0``, matrix axes first.
+
+    ``m`` is one 4x4 matrix, or a stack with its matrix axes moved to the
+    front, so that ``m[1, 3]`` holds entry (1, 3) of every matrix.
+    """
+    m[1, 3] = b
+    m[3, 1] = -b
+    m[3, 3] = epsilon
+    return m
+
+
 def assemble_matrix(p: Params) -> np.ndarray:
-    """4x4 system matrix A of z' = A z.
+    """4x4 system matrix A of z' = A z, a fresh writable array.
 
     Rows encode u' = x, x' = -u - x + b y, v' = y, y' = -b x - v + eps y.
     Its trace is epsilon - 1 and its determinant is 1 for every valid
     parameter pair.
     """
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-1.0, -1.0, 0.0, p.b],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, -p.b, -1.0, p.epsilon],
-        ]
-    )
+    return _couple(_A0.copy(), p.epsilon, p.b)
+
+
+def assemble_matrices(epsilon, b) -> np.ndarray:
+    """System matrices over arrays of epsilon and b, of shape shape + (4, 4).
+
+    ``shape`` is the broadcast shape of the two arguments; entry [i] equals
+    ``assemble_matrix(Params(epsilon[i], b[i]))`` with no Params built.
+    Raises ValueError where Params would: epsilon finite and >= 0, b
+    finite and > 0.
+    """
+    epsilon, b = np.broadcast_arrays(np.asarray(epsilon, dtype=float), np.asarray(b, dtype=float))
+    if not (np.isfinite(epsilon) & (epsilon >= 0.0)).all():
+        raise ValueError("epsilon must be finite and >= 0 everywhere")
+    if not (np.isfinite(b) & (b > 0.0)).all():
+        raise ValueError("b must be finite and > 0 everywhere")
+    stack = np.tile(_A0, epsilon.shape + (1, 1))
+    _couple(np.moveaxis(stack, (-2, -1), (0, 1)), epsilon, b)
+    return stack
 
 
 def energy(s: State) -> float:

@@ -47,6 +47,7 @@ __all__ = [
     "propagator",
     "integrate",
     "explicit_solution_eps1_b1",
+    "explicit_propagator_eps1_b1",
     "asymptotic_propagator",
     "norm_growth_fit",
     "periodic_portrait_check",
@@ -253,28 +254,42 @@ def integrate(
     )
 
 
-def explicit_solution_eps1_b1(z0: State, t: float) -> State:
-    """Exact solution at the defective point eps = 1, b = 1.
+def explicit_propagator_eps1_b1(t: float | np.ndarray) -> np.ndarray:
+    """Exact propagator S(t) at the defective point eps = 1, b = 1.
 
-    The displacement components are
+    Of shape t.shape + (4, 4); ``t`` is a time or an array of times, of
+    either sign.  With c = cos t and s = sin t,
 
-        u(t) = [(2u0 - t u0 + t v0) cos t
-                + (u0 - v0 + 2x0 - t x0 + t y0) sin t] / 2
-        v(t) = [(-t u0 + 2v0 + t v0) cos t
-                + (u0 - v0 - t x0 + 2y0 + t y0) sin t] / 2
+        2 S(t) = [[(2-t)c + s,  (2-t)s,      tc - s,      ts        ],
+                  [(t-2)s,      (2-t)c - s,  -ts,         tc + s    ],
+                  [s - tc,      -ts,         (2+t)c - s,  (2+t)s    ],
+                  [ts,          -tc - s,     -(2+t)s,     (2+t)c + s]]
 
-    and the velocities are their exact derivatives.  The linear-in-t
-    amplitudes are the polynomial blow-up of the defective spectrum made
-    explicit; this function is the oracle the integrator and propagator
-    are tested against.
+    so u(t) = [(2u0 - t u0 + t v0) cos t + (u0 - v0 + 2x0 - t x0 + t y0)
+    sin t] / 2, and each velocity row is the derivative of the row above
+    it.  The linear-in-t amplitudes are the polynomial blow-up of the
+    defective spectrum made explicit; this is the oracle the integrator
+    and propagator are tested against.  Raises ValueError on a non-finite
+    time.
     """
-    u0, x0, v0, y0 = z0.u, z0.x, z0.v, z0.y
-    ct, st = math.cos(t), math.sin(t)
-    u = 0.5 * ((2 * u0 - t * u0 + t * v0) * ct + (u0 - v0 + 2 * x0 - t * x0 + t * y0) * st)
-    x = 0.5 * ((2 * x0 - t * x0 + t * y0) * ct + (t * u0 - 2 * u0 - t * v0 - x0 + y0) * st)
-    v = 0.5 * ((-t * u0 + 2 * v0 + t * v0) * ct + (u0 - v0 - t * x0 + 2 * y0 + t * y0) * st)
-    y = 0.5 * ((2 * y0 - t * x0 + t * y0) * ct + (t * u0 - 2 * v0 - t * v0 - x0 + y0) * st)
-    return State(u, x, v, y)
+    t = np.asarray(t, dtype=float)
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got t={bad[0]}")
+    c, s = 0.5 * np.cos(t), 0.5 * np.sin(t)  # halved, so the rows below are S itself
+    tc, ts = t * c, t * s
+    rows = [
+        [2.0 * c - tc + s, 2.0 * s - ts, tc - s, ts],
+        [ts - 2.0 * s, 2.0 * c - tc - s, -ts, tc + s],
+        [s - tc, -ts, 2.0 * c + tc - s, 2.0 * s + ts],
+        [ts, -tc - s, -2.0 * s - ts, 2.0 * c + tc + s],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def explicit_solution_eps1_b1(z0: State, t: float) -> State:
+    """Exact solution S(t) z0 at eps = 1, b = 1; see ``explicit_propagator_eps1_b1``."""
+    return State.from_array(explicit_propagator_eps1_b1(t) @ z0.as_array())
 
 
 def asymptotic_propagator(b: float, t: float | np.ndarray) -> np.ndarray:

@@ -8,7 +8,11 @@ import re
 
 import pytest
 
+from oscpair import acceptance, core, sim
 from oscpair.acceptance import CRITERIA, run_all
+
+# details that are part of the output contract, quoted as fixed figures
+PINNED_DETAILS = {7: "sup differences 1.0638 > 0.2232 > 0.0558"}
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"criterion_{c.number}" for c in CRITERIA])
@@ -16,6 +20,27 @@ def test_acceptance_criterion(criterion):
     ok, detail = criterion.run()
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion.number}: {criterion.title} [{detail}]")
     assert ok, f"criterion {criterion.number} ({criterion.title}): {detail}"
+    assert detail == PINNED_DETAILS.get(criterion.number, detail)
+
+
+def test_criterion_6_makes_no_scalar_oracle_call(monkeypatch):
+    calls = []
+    for module in (sim, acceptance):
+        monkeypatch.setattr(module, "explicit_solution_eps1_b1", lambda *a: calls.append(a), raising=False)
+    ok, detail = next(c for c in CRITERIA if c.number == 6).run()
+    assert ok, detail
+    assert calls == []
+
+
+def test_criterion_1_builds_no_params_or_single_matrix(monkeypatch):
+    calls = []
+    inner = core.Params.__post_init__
+    monkeypatch.setattr(core.Params, "__post_init__", lambda self: calls.append(self) or inner(self))
+    for module in (core, acceptance):
+        monkeypatch.setattr(module, "assemble_matrix", lambda p: calls.append(p), raising=False)
+    ok, detail = next(c for c in CRITERIA if c.number == 1).run()
+    assert ok, detail
+    assert calls == []
 
 
 @pytest.mark.parametrize("numbers, named", [(set(), "no criteria"), ({11}, "[11]"), ({2, 42}, "[42]")])

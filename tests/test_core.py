@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscpair.core import Params, State, assemble_matrix, energy, energy_rate
+from oscpair.core import Params, State, assemble_matrices, assemble_matrix, energy, energy_rate
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -23,6 +23,32 @@ def test_matrix_general_entries():
     m = assemble_matrix(p)
     assert m[1, 0] == -1.0 and m[1, 3] == 2.5
     assert m[3, 1] == -2.5 and m[3, 3] == 0.3
+
+
+def test_matrix_is_a_fresh_writable_array_each_call():
+    p = Params(0.5, 2.0)
+    first = assemble_matrix(p)
+    first[1, 0] = first[3, 2] = -4.0  # as mode_matrix does
+    second = assemble_matrix(p)
+    assert second.flags.writeable and second is not first
+    assert second[1, 0] == second[3, 2] == -1.0
+
+
+def test_matrix_stack_matches_one_matrix_per_point():
+    eps, b = np.meshgrid([0.0, 0.3, 1.0, 2.0], [0.05, 0.75, 2.5])
+    stack = assemble_matrices(eps, b)
+    assert stack.shape == (3, 4, 4, 4) and stack.flags.writeable
+    for idx in np.ndindex(eps.shape):
+        np.testing.assert_array_equal(stack[idx], assemble_matrix(Params(eps[idx], b[idx])))
+    np.testing.assert_array_equal(assemble_matrices(1.0, [1.0, 2.0])[1], assemble_matrix(Params(1.0, 2.0)))
+    np.testing.assert_array_equal(assemble_matrices(0.5, 0.75), assemble_matrix(Params(0.5, 0.75)))
+
+
+@pytest.mark.parametrize("eps, b", [([0.5, -0.1], 1.0), (math.nan, 1.0), (0.5, [1.0, 0.0]),
+                                    (0.5, -1.0), (0.5, math.inf)])
+def test_matrix_stack_rejects_what_params_rejects(eps, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        assemble_matrices(eps, b)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0, 1.7, 2.0])

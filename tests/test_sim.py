@@ -12,6 +12,7 @@ from oscpair.core import Params, State, assemble_matrix, energy
 from oscpair.sim import (
     IntegrationError,
     asymptotic_propagator,
+    explicit_propagator_eps1_b1,
     explicit_solution_eps1_b1,
     integrate,
     norm_growth_fit,
@@ -153,10 +154,9 @@ def test_criterion_7_reads_no_operator_norm(monkeypatch):
 
 def test_propagator_matches_explicit_solution_at_defective_point():
     p = Params(1.0, 1.0)
-    basis = [State(1, 0, 0, 0), State(0, 1, 0, 0), State(0, 0, 1, 0), State(0, 0, 0, 1)]
     for t in (0.5, math.pi, 2 * math.pi, 10.0, 50.0):
         sample = propagator(p, t)
-        exact = np.array([explicit_solution_eps1_b1(e, t).as_array() for e in basis]).T
+        exact = explicit_propagator_eps1_b1(t)
         assert np.abs(sample.matrix - exact).max() <= 1e-10 * (1.0 + np.abs(exact).max())
 
 
@@ -372,12 +372,9 @@ def test_integrate_rejects_steps_too_long_to_resolve(p, z0):
 def test_integrate_matches_explicit_solution_over_long_window():
     rng = np.random.default_rng(5)
     p = Params(1.0, 1.0)
-    z0 = State.from_array(rng.standard_normal(4))
-    traj = integrate(p, z0, 50.0, samples=400)
-    worst = max(
-        float(np.abs(traj.states[k] - explicit_solution_eps1_b1(z0, float(t)).as_array()).max())
-        for k, t in enumerate(traj.times)
-    )
+    z0 = rng.standard_normal(4)
+    traj = integrate(p, State.from_array(z0), 50.0, samples=400)
+    worst = float(np.abs(traj.states - explicit_propagator_eps1_b1(traj.times) @ z0).max())
     assert worst <= 1e-7
 
 
@@ -429,6 +426,57 @@ def test_explicit_solution_satisfies_both_equations():
         assert got.x == pytest.approx(float(du.subs(subs).subs(t, tv)), abs=1e-10)
         assert got.v == pytest.approx(float(v.subs(subs).subs(t, tv)), abs=1e-10)
         assert got.y == pytest.approx(float(dv.subs(subs).subs(t, tv)), abs=1e-10)
+
+
+def test_explicit_propagator_is_the_identity_at_zero():
+    np.testing.assert_array_equal(explicit_propagator_eps1_b1(0.0), np.eye(4))
+
+
+def test_explicit_propagator_columns_are_the_solutions_from_unit_states():
+    ts = np.array([0.0, 0.3, math.pi, 9.4, -2.5])
+    stack = explicit_propagator_eps1_b1(ts)
+    assert stack.shape == (5, 4, 4)
+    for t, s in zip(ts, stack):
+        for j, e in enumerate(np.eye(4)):
+            column = explicit_solution_eps1_b1(State.from_array(e), float(t)).as_array()
+            np.testing.assert_array_equal(column, s[:, j])
+    assert explicit_propagator_eps1_b1(np.zeros((2, 3))).shape == (2, 3, 4, 4)
+
+
+def test_explicit_propagator_semigroup_property():
+    rng = np.random.default_rng(12)
+    t, s = rng.uniform(-20.0, 20.0, size=(2, 50))
+    combined = explicit_propagator_eps1_b1(t + s)
+    split = explicit_propagator_eps1_b1(t) @ explicit_propagator_eps1_b1(s)
+    scale = 1.0 + np.abs(combined).max(axis=(1, 2))
+    assert (np.abs(combined - split).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("t", [0.5, math.pi, 10.0, 50.0])
+def test_explicit_propagator_matches_mpmath_expm(t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.matrix(assemble_matrix(Params(1.0, 1.0)).tolist())
+        exact = np.array(mp.expm(mp.mpf(t) * a).tolist(), dtype=float)
+    got = explicit_propagator_eps1_b1(t)
+    assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_explicit_propagator_makes_no_matrix_exponential(monkeypatch):
+    calls = counting_expm(monkeypatch)
+    explicit_propagator_eps1_b1(np.linspace(0.0, 50.0, 501))
+    explicit_solution_eps1_b1(State(1, 0, 0, 0), 2.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_explicit_propagator_rejects_non_finite_time(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time must be finite"):
+            explicit_propagator_eps1_b1(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="time must be finite"):
+            explicit_solution_eps1_b1(State(1, 0, 0, 0), bad)
 
 
 def test_explicit_solution_energy_grows_quadratically():
