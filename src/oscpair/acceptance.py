@@ -23,6 +23,7 @@ from .sim import (
     explicit_propagator_eps1_b1,
     integrate,
     norm_growth_fit,
+    operator_norm,
     periodic_portrait_check,
     propagator,
 )
@@ -167,8 +168,7 @@ def _criterion_7() -> tuple[bool, str]:
     for b in (10.0, 50.0, 200.0):
         p = Params(1.0, b)
         exact = np.array([propagator(p, float(t)).matrix for t in ts])
-        diff = exact - asymptotic_propagator(b, ts)
-        sups.append(float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
+        sups.append(float(operator_norm(exact - asymptotic_propagator(b, ts)).max()))
     ok = sups[0] > sups[1] > sups[2]
     return ok, "sup differences " + " > ".join(f"{s:.4f}" for s in sups)
 

@@ -63,7 +63,8 @@ FIGURE_IDS = tuple(_CATALOGUE)
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One figure: parameter sets, shared initial state, time window."""
+    """One figure: parameter sets, shared initial state, time window;
+    empty ``labels`` become ``epsilon=<eps> b=<b>`` per parameter set."""
 
     figure_id: str
     params: tuple[Params, ...]
@@ -82,6 +83,9 @@ class FigureSpec:
             )
         if self.labels and len(self.labels) != len(self.params):
             raise ValueError("labels must match parameter sets one-to-one")
+        if not self.labels:
+            labels = tuple(f"epsilon={p.epsilon:g} b={p.b:g}" for p in self.params)
+            object.__setattr__(self, "labels", labels)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
 
@@ -121,7 +125,6 @@ def default_figure_spec(
         z0=z0 if z0 is not None else z,
         t_end=t_end if t_end is not None else t,
         output_stem=output_stem if output_stem is not None else figure_id,
-        labels=tuple(f"epsilon={eps:g} b={b:g}" for b in bs),
     )
 
 
@@ -163,14 +166,11 @@ def write_figure(
         header += ",u_asym,v_asym"
 
     lines = [header]
-    labels = spec.labels or tuple(
-        f"epsilon={p.epsilon:g} b={p.b:g}" for p in spec.params
-    )
     z0 = spec.z0.as_array()
     for k, p in enumerate(spec.params):
         if k > 0:
             lines.append("")
-        lines.append(f"# block {k}: {labels[k]}")
+        lines.append(f"# block {k}: {spec.labels[k]}")
         traj, truncated = _block_trajectory(p, spec, samples)
         over = np.flatnonzero(traj.energies > ENERGY_OVERFLOW)
         n = over[0] if over.size else traj.times.size
@@ -184,11 +184,11 @@ def write_figure(
             lines.append(f"# truncated: E > {ENERGY_OVERFLOW:g} beyond this point")
     csv_path.write_text("\n".join(lines) + "\n")
 
-    plot_path.write_text(_plot_script(spec, csv_path.name, labels))
+    plot_path.write_text(_plot_script(spec, csv_path.name))
     return csv_path, plot_path
 
 
-def _plot_script(spec: FigureSpec, csv_name: str, labels: tuple[str, ...]) -> str:
+def _plot_script(spec: FigureSpec, csv_name: str) -> str:
     """Declarative plot description referencing CSV columns by name."""
     out = [
         f"# plot script for {csv_name}",
@@ -198,15 +198,15 @@ def _plot_script(spec: FigureSpec, csv_name: str, labels: tuple[str, ...]) -> st
     if spec.portrait:
         out += ["xlabel u", "ylabel du/dt", "aspect equal"]
         for k in range(len(spec.params)):
-            out.append(f'curve block={k} x=u y=x label="{labels[k]}"')
+            out.append(f'curve block={k} x=u y=x label="{spec.labels[k]}"')
     elif spec.with_asymptotic:
         out += ["xlabel t", "ylabel u, v"]
         for name in ("u", "u_asym", "v", "v_asym"):
-            out.append(f'curve block=0 x=t y={name} label="{name} ({labels[0]})"')
+            out.append(f'curve block=0 x=t y={name} label="{name} ({spec.labels[0]})"')
     else:
         out += ["xlabel t", "ylabel E"]
         for k in range(len(spec.params)):
-            out.append(f'curve block={k} x=t y=E label="{labels[k]}"')
+            out.append(f'curve block={k} x=t y=E label="{spec.labels[k]}"')
     return "\n".join(out) + "\n"
 
 

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .core import Params, assemble_matrix
-from .spectrum import palindromic_roots
+from .spectrum import _attains, palindromic_roots
 
 __all__ = [
     "ModeFamily",
@@ -130,20 +130,20 @@ class FamilyBound(NamedTuple):
 def family_growth_bound(f: ModeFamily, p: Params, tail_check: int = 8) -> FamilyBound:
     """Supremum of per-mode growth bounds over a finite mode family.
 
-    Returns the supremum, the (0-based) index of the first mode
-    attaining it within 1e-9, and that mode's eigenvalue.  The bound
-    over the last ``tail_check`` modes (every mode if there are fewer, none
-    at 0) must be stabilizing: consecutive tail differences may not grow
-    (beyond a 1e-10 noise floor), since a growing tail would mean the
-    finite truncation says nothing about the full family.  A
-    non-stabilizing tail raises ArithmeticError, a negative ``tail_check``
-    ValueError.
+    Returns the supremum, the (0-based) index of the first mode attaining
+    it within 1e-9 (1 + |sup|), the rule of ``dominant_defects``, and that
+    mode's eigenvalue.  The bound over the last ``tail_check`` modes (every
+    mode if there are fewer, none at 0) must be stabilizing: consecutive
+    tail differences may not grow (beyond a 1e-10 noise floor), since a
+    growing tail would mean the finite truncation says nothing about the
+    full family.  A non-stabilizing tail raises ArithmeticError, a
+    negative ``tail_check`` ValueError.
     """
     if tail_check < 0:
         raise ValueError(f"tail_check must be >= 0, got {tail_check!r}")
     bounds = palindromic_roots(p.epsilon, p.b, np.array(f.mu)).real.max(axis=-1)
     top = float(bounds.max())
-    index = int(np.argmax(bounds >= top - 1e-9 * (1.0 + abs(top))))
+    index = int(np.argmax(_attains(bounds, top)))
 
     diffs = np.abs(np.diff(bounds[len(bounds) - min(tail_check, len(bounds)):]))
     floor = 1e-10 * (1.0 + abs(top))

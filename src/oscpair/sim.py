@@ -60,6 +60,10 @@ _POWER_CAP = 1e150
 _CORNER_CAP = 100.0
 # largest |dE - z^T W z| / (1 + E) on one step of integrate
 _DRIFT_CAP = 1e-6
+_MAX_RMS = 1.0  # largest rms residual of norm_growth_fit's trend
+# periodic_portrait_check: relative frequency-ratio tolerance, times the
+# ratio's condition number, and largest recurrence gap |z(T) - z0|
+_RATIO_TOL, _RECURRENCE_TOL = 1e-14, 1e-6
 
 
 class _LazyExpm:
@@ -124,16 +128,17 @@ class Trajectory:
         return self.state(-1)
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, by LAPACK's SVD.
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix (a float), or of each in a stack (..., n, n).
 
-    Equals ``np.linalg.norm(matrix, 2)`` at half its call overhead.
-    Raises ValueError on inf or NaN entries.
+    Bit-identical to ``np.linalg.norm(matrix, 2, axis=(-2, -1))`` at lower
+    call overhead.  Raises ValueError on any inf or NaN entry.
     """
     m = np.asarray(matrix, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("operator norm of a matrix with non-finite entries")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(top) if m.ndim == 2 else top
 
 
 def propagator(p: Params, t: float) -> PropagatorSample:
@@ -323,8 +328,7 @@ class FitResult(NamedTuple):
     rms_residual: float
 
 
-def _trend_lstsq(ts: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, float]:
-    design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])
+def _trend_lstsq(design: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, float]:
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     rms = float(np.sqrt(np.mean((design @ coef - logs) ** 2)))
     return coef, rms
@@ -334,7 +338,6 @@ def norm_growth_fit(
     p: Params,
     t_max: float | None = None,
     samples: int = 400,
-    max_rms: float = 1.0,
 ) -> FitResult:
     """Fit log ||S(t)|| ~ log C + d*log(1+t) + w*t over [t_max/2, t_max].
 
@@ -344,7 +347,7 @@ def norm_growth_fit(
     blowing-up regimes (overflow guard) and 200 otherwise.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
-    come from one batched SVD.
+    come from one :func:`operator_norm` call on the stack.
 
     When the dominant eigenvalues are regular and complex, the norm
     oscillates periodically around its envelope and a plain least-squares
@@ -355,7 +358,7 @@ def norm_growth_fit(
 
     Raises ValueError unless ``samples >= 4`` (one more than the trend
     has coefficients) and ``t_max`` is finite and > 0, and FitError if a
-    sampled norm exceeds 1e100 or the fit residual exceeds ``max_rms``.
+    sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
     """
     if samples < 4:
         raise ValueError(f"norm-growth fit needs samples >= 4, got {samples}")
@@ -369,24 +372,24 @@ def norm_growth_fit(
         stack = _march(expm(dt * m), expm(ts[0] * m), samples - 1)
     finite = np.isfinite(stack).all(axis=(1, 2))
     norms = np.full(samples, math.inf)
-    norms[finite] = np.linalg.norm(stack[finite], 2, axis=(1, 2))
+    norms[finite] = operator_norm(stack[finite])
     over = np.flatnonzero(norms > _NORM_OVERFLOW)
     if over.size:
         k = over[0]
         raise FitError(f"propagator norm {norms[k]:.3e} exceeds overflow guard at t={ts[k]:g}")
     logs = np.log(norms)
 
-    coef, rms = _trend_lstsq(ts, logs)
+    design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])
+    coef, rms = _trend_lstsq(design, logs)
     if rms > 1e-2:
-        design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])
         for _ in range(2):
             resid = logs - design @ coef
             peaks = 1 + np.flatnonzero((resid[1:-1] >= resid[:-2]) & (resid[1:-1] > resid[2:]))
             if peaks.size < 4:
                 break
-            coef, rms = _trend_lstsq(ts[peaks], logs[peaks])
-    if rms > max_rms:
-        raise FitError(f"norm-growth fit residual {rms:.3e} exceeds {max_rms:g}")
+            coef, rms = _trend_lstsq(design[peaks], logs[peaks])
+    if rms > _MAX_RMS:
+        raise FitError(f"norm-growth fit residual {rms:.3e} exceeds {_MAX_RMS:g}")
     return FitResult(
         rate=float(coef[2]),
         poly_degree=float(coef[1]),
@@ -395,27 +398,23 @@ def norm_growth_fit(
     )
 
 
-def periodic_portrait_check(
-    b: float,
-    t_max: float = 200.0,
-    ratio_tol: float = 1e-14,
-    recurrence_tol: float = 1e-6,
-) -> tuple[bool, float]:
+def periodic_portrait_check(b: float, t_max: float = 200.0) -> tuple[bool, float]:
     """Decide whether the eps = 1, b > 1 phase portrait is periodic.
 
     The two angular frequencies are w+- = (sqrt(b^2+3) +- sqrt(b^2-1))/2
     and the portrait closes iff their ratio is rational.  Since w+ w- = 1
     the ratio is w+^2, free of the cancellation that costs w- about b^2
     ulps.  Rationality is decided by continued-fraction approximation with
-    denominators capped at 1e4, to a relative tolerance of ``ratio_tol``
-    times the ratio's condition number in b, 2b^2/sqrt((b^2+3)(b^2-1));
-    float input cannot certify rationality beyond that scale.  Returns
-    (True, T) with T the common period, or (False, nan).
+    denominators capped at 1e4, to a relative tolerance of ``_RATIO_TOL``
+    = 1e-14 times the ratio's condition number in b,
+    2b^2/sqrt((b^2+3)(b^2-1)); float input cannot certify rationality
+    beyond that scale.  Returns (True, T) with T the common period, or
+    (False, nan).
 
     Either verdict is cross-checked against the trajectory z(t) = S(t)z0
     with z0 = (1,0,0,0): a periodic verdict must recur to within
-    ``recurrence_tol`` at T, an aperiodic one must not recur anywhere on
-    a uniform grid over [0.5, t_max], stepped exactly by S(dt).
+    ``_RECURRENCE_TOL`` = 1e-6 at T, an aperiodic one must not recur
+    anywhere on a uniform grid over [0.5, t_max], stepped exactly by S(dt).
     Violations, and a non-finite gap or orbit, raise IntegrationError,
     and ValueError unless b > 1 and ``t_max`` > 0.5 are both finite.
     """
@@ -427,7 +426,7 @@ def periodic_portrait_check(
     ratio = w_plus * w_plus
     cond = 2.0 * b * b / math.sqrt((b * b + 3.0) * (b * b - 1.0))
     frac = Fraction(ratio).limit_denominator(10_000)
-    is_periodic = abs(ratio - float(frac)) <= ratio_tol * cond * ratio
+    is_periodic = abs(ratio - float(frac)) <= _RATIO_TOL * cond * ratio
 
     m = assemble_matrix(Params(1.0, b))
     z0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -435,7 +434,7 @@ def periodic_portrait_check(
         period = 2.0 * math.pi * frac.denominator * w_plus
         with np.errstate(over="ignore", invalid="ignore"):
             gap = float(np.linalg.norm(expm(period * m) @ z0 - z0))
-        if not gap <= recurrence_tol:
+        if not gap <= _RECURRENCE_TOL:
             raise IntegrationError(
                 f"predicted period {period:g} fails recurrence: gap {gap:.3e}"
             )
@@ -445,7 +444,7 @@ def periodic_portrait_check(
         orbit = _march(expm(dt * m), expm(ts[0] * m) @ z0, len(ts) - 1)
     if not np.isfinite(orbit).all():
         raise IntegrationError(f"aperiodic orbit is not finite at b={b:g}")
-    hits = np.flatnonzero(np.linalg.norm(orbit - z0, axis=1) <= recurrence_tol)
+    hits = np.flatnonzero(np.linalg.norm(orbit - z0, axis=1) <= _RECURRENCE_TOL)
     if hits.size:
         raise IntegrationError(
             f"aperiodic verdict contradicted by recurrence at t={ts[hits[0]]:g}"

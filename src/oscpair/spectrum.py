@@ -79,7 +79,9 @@ CLUSTER_TOL = 1e-6
 # b = 1, b = sqrt(eps), b = (1+eps)/2, ...) that decide regimes and defects.
 BOUNDARY_RTOL = 1e-12
 
+_ATTAIN_RTOL = 1e-9  # within _ATTAIN_RTOL (1 + |bound|) attains the bound
 _ZOOM = 64  # points per bracketing level of minimize_growth_bound
+_SCAN_B_MAX = 10.0  # optimal_coupling checks its closed form on [0, _SCAN_B_MAX]
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -197,12 +199,17 @@ def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
     return np.concatenate((pair, pair), axis=-1)
 
 
-def dominant_defects(roots, defects, tol: float = 1e-9) -> np.ndarray:
-    """Largest defect among roots within tol*(1+|max|) of max Re, over the last axis."""
+def _attains(values, top):
+    """Where ``values`` are within ``_ATTAIN_RTOL`` (1 + |top|) of the bound ``top``."""
+    return values >= top - _ATTAIN_RTOL * (1.0 + np.abs(top))
+
+
+def dominant_defects(roots, defects) -> np.ndarray:
+    """Largest defect among roots whose real part attains the max by
+    ``_attains`` (within 1e-9 (1 + |max|)), over the last axis."""
     real = np.real(roots)
     top = real.max(axis=-1, keepdims=True)
-    attained = real >= top - tol * (1.0 + np.abs(top))
-    return np.where(attained, defects, 0).max(axis=-1)
+    return np.where(_attains(real, top), defects, 0).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -222,9 +229,9 @@ class Spectrum:
     def omega_star(self) -> float:
         return max(lam.real for lam in self.eigenvalues)
 
-    def dominant_defect(self, tol: float = 1e-9) -> int:
+    def dominant_defect(self) -> int:
         """Largest defect among eigenvalues attaining the growth bound."""
-        return int(dominant_defects(np.array(self.eigenvalues), np.array(self.defects), tol))
+        return int(dominant_defects(np.array(self.eigenvalues), np.array(self.defects)))
 
 
 def closed_form_eigenvalues(p: Params) -> Spectrum:
@@ -240,36 +247,28 @@ def closed_form_eigenvalues(p: Params) -> Spectrum:
     return Spectrum(eigenvalues=tuple(lams.tolist()), defects=tuple(defects.tolist()))
 
 
-def eigenvalue_defect(
-    matrix: np.ndarray,
-    lam: complex,
-    rank_tol: float = RANK_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> int:
+def eigenvalue_defect(matrix: np.ndarray, lam: complex) -> int:
     """Defect (algebraic minus geometric multiplicity) of one eigenvalue.
 
     Algebraic multiplicity counts the eigenvalues of ``matrix`` lying
-    within ``cluster_tol`` of ``lam``; geometric multiplicity is
+    within ``CLUSTER_TOL`` of ``lam``; geometric multiplicity is
     4 - rank(matrix - lam*I) with singular values below
-    ``rank_tol * ||matrix||`` treated as zero.
+    ``RANK_TOL * ||matrix||`` treated as zero.
 
     Raises ValueError if ``lam`` is not an eigenvalue within the
     clustering tolerance.
     """
     m = np.asarray(matrix, dtype=float)
     eigs = np.linalg.eigvals(m)
-    alg = int(np.sum(np.abs(eigs - lam) <= cluster_tol))
+    alg = int(np.sum(np.abs(eigs - lam) <= CLUSTER_TOL))
     if alg == 0:
         nearest = float(np.min(np.abs(eigs - lam)))
         raise ValueError(
-            f"{lam} is not an eigenvalue within tolerance {cluster_tol} "
+            f"{lam} is not an eigenvalue within tolerance {CLUSTER_TOL} "
             f"(nearest root at distance {nearest:.3e})"
         )
-    shifted = m.astype(complex) - lam * np.eye(m.shape[0])
-    sv = np.linalg.svd(shifted, compute_uv=False)
-    scale = float(np.linalg.norm(m, 2))
-    rank = int(np.sum(sv > rank_tol * scale))
-    geo = m.shape[0] - rank
+    sv = np.linalg.svd(m - lam * np.eye(len(m)), compute_uv=False)
+    geo = len(m) - int(np.sum(sv > RANK_TOL * np.linalg.norm(m, 2)))
     return max(alg - geo, 0)
 
 
@@ -277,7 +276,9 @@ def growth_bound(p: Params) -> float:
     """Growth bound omega* = max real part of the four eigenvalues.
 
     In the decay regime omega* is about -(1-eps)/(4 b^2), which underflows
-    for b above about 1e162: the result is then -0.0, with its sign bit set.
+    for b above about 1e162: the result is then -0.0.  At eps = 0 it is
+    about -b^2/2 and underflows for b below about 1e-162: the result is
+    then +0.0, the sign lost in a root quotient (:func:`classify` keeps it).
     """
     return float(palindromic_roots(p.epsilon, p.b).real.max())
 
@@ -316,10 +317,10 @@ def classify(p: Params) -> Regime:
     inspecting rounded eigenvalues: the user states the regime, and
     eigenvalue rounding must not flip a boundary verdict.  On boundary
     verdicts with omega* = 0 the reported growth bound is snapped to an
-    exact zero for consistency with the kind.  An ExpDecay verdict with b
-    above about 1e162 reports omega* = -0.0: the true value, about
-    -(1-eps)/(4 b^2), is below the smallest double, and only the sign bit
-    remains.  Evaluates :func:`closed_form_eigenvalues` once.
+    exact zero for consistency with the kind.  An ExpDecay verdict whose
+    rate underflows (b above about 1e162, or eps = 0 and b below about
+    1e-162; see :func:`growth_bound`) reports omega* = -0.0, the sign bit
+    of decay.  Evaluates :func:`closed_form_eigenvalues` once.
     """
     return _regime(p, closed_form_eigenvalues(p))
 
@@ -347,10 +348,11 @@ def _regime(p: Params, spectrum: Spectrum) -> Regime:
         else:
             kind = RegimeKind.EXP_DECAY
 
+    omega = spectrum.omega_star
     if kind in (RegimeKind.POLY_BLOWUP, RegimeKind.BOUNDED_NON_DECAYING):
         omega = 0.0
-    else:
-        omega = spectrum.omega_star
+    elif kind is RegimeKind.EXP_DECAY and not omega < 0.0:
+        omega = -0.0  # an underflowed rate keeps the sign of decay
     penalty = spectrum.dominant_defect()
     return Regime(kind=kind, omega_star=omega, defect_penalty=penalty)
 
@@ -395,15 +397,13 @@ def minimize_growth_bound(
     return float(patterns.view(np.float64)[k]), float(values[k])
 
 
-def optimal_coupling(
-    epsilon: float, b_max: float = 10.0, verify: bool = True
-) -> tuple[float, float]:
+def optimal_coupling(epsilon: float) -> tuple[float, float]:
     """Optimal coupling and best growth bound for epsilon in [0, 1).
 
-    Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4).  When ``verify`` is
-    set (the default) the closed form is cross-checked by numerical
-    minimization of the growth bound over [0, b_max]; a mismatch
-    beyond 1e-6 raises ArithmeticError.
+    Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4), the closed form
+    cross-checked by numerical minimization of the growth bound over
+    [0, ``_SCAN_B_MAX``] = [0, 10]; a minimizer more than 1e-6 away
+    raises ArithmeticError.
 
     Rejects epsilon >= 1, where no decay regime exists.
     """
@@ -411,10 +411,9 @@ def optimal_coupling(
         raise ValueError(f"optimal coupling requires 0 <= epsilon < 1, got {epsilon}")
     eta = (1.0 + epsilon) / 2.0
     omega = (epsilon - 1.0) / 4.0
-    if verify:
-        b_opt, _ = minimize_growth_bound(epsilon, 0.0, b_max)
-        if abs(b_opt - eta) > 1e-6:
-            raise ArithmeticError(
-                f"numerical minimizer {b_opt!r} disagrees with (1+eps)/2 = {eta!r}"
-            )
+    b_opt, _ = minimize_growth_bound(epsilon, 0.0, _SCAN_B_MAX)
+    if abs(b_opt - eta) > 1e-6:
+        raise ArithmeticError(
+            f"numerical minimizer {b_opt!r} disagrees with (1+eps)/2 = {eta!r}"
+        )
     return eta, omega

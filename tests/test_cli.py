@@ -185,6 +185,14 @@ def test_figure_step_too_long_to_resolve_is_a_numerical_failure(tmp_path, capsys
     assert err.startswith("numerical failure: step too long to resolve at dt=8.33333e+13")
 
 
+@pytest.mark.parametrize("b", ["1e-170", "5e-324"])
+def test_classify_tiny_coupling_reports_negative_zero_rate(capsys, b):
+    code, out, _ = run_cli(capsys, "classify", "--epsilon", "0", "--b", b)
+    fields = record(out)
+    assert code == 0
+    assert fields["kind"] == "ExpDecay" and fields["omega_star"] == "-0.0"
+
+
 def test_figure_has_no_tol_option(tmp_path, capsys):
     code, _, err = run_cli(capsys, "figure", "fig1", "--tol", "1e-8", "--out", str(tmp_path / "f1"))
     assert code == 1 and "--tol" in err

@@ -22,6 +22,19 @@ def test_all_default_specs_build():
         assert len(spec.labels) == len(spec.params)
 
 
+def test_spec_without_labels_gets_the_default_labels(tmp_path):
+    spec = default_figure_spec("fig7")
+    bare = FigureSpec(spec.figure_id, spec.params, spec.z0, spec.t_end, "bare")
+    assert bare.labels == spec.labels == (
+        "epsilon=0.5 b=0.35", "epsilon=0.5 b=0.707107", "epsilon=0.5 b=1.5"
+    )
+    named = FigureSpec(spec.figure_id, spec.params, spec.z0, spec.t_end, "named", ("a", "b", "c"))
+    assert named.labels == ("a", "b", "c")
+    csv_path, plot_path = write_figure(bare, samples=40, directory=tmp_path)
+    assert "# block 1: epsilon=0.5 b=0.707107\n" in csv_path.read_text()
+    assert 'label="epsilon=0.5 b=1.5"' in plot_path.read_text()
+
+
 def test_default_initial_states():
     assert default_figure_spec("fig1").z0 == State(1, 0, 0, 0)
     assert default_figure_spec("fig4").z0 == State(1, 0.5, 0, 0)

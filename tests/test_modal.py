@@ -16,7 +16,7 @@ from oscpair.modal import (
     mode_matrix,
     threshold_check,
 )
-from oscpair.spectrum import growth_bound, palindromic_roots, root_defects
+from oscpair.spectrum import dominant_defects, growth_bound, palindromic_roots, root_defects
 
 
 def test_mode_matrix_reduces_to_base_system_at_unit_stiffness():
@@ -253,3 +253,22 @@ def test_family_bound_equals_per_mode_bounds():
     got = family_growth_bound(family, p)
     assert got.value == max(bounds)
     assert got.index == bounds.index(max(bounds))
+
+
+def test_family_attainment_and_dominant_defects_share_one_rule():
+    # near mu = 1000 at (0.5, 0.8) the bound falls by about 2.7e-7 per unit
+    # of mu, so these modes sit 0, 0.49, 0.73, 1.47 and 1.96 windows of
+    # 1e-9 (1 + |sup|) below the sup
+    p = Params(0.5, 0.8)
+    family = ModeFamily([1000.0, 1000.002, 1000.003, 1000.006, 1000.008])
+    bound = family_growth_bound(family, p, tail_check=0)
+    roots = palindromic_roots(p.epsilon, p.b, np.array(family.mu))
+    window = 1e-9 * (1.0 + abs(bound.value))
+    gaps = (bound.value - roots.real.max(axis=-1)) / window
+    assert gaps[0] == 0.0 and 0.0 < gaps[1] < gaps[2] < 1.0 < gaps[3] < gaps[4]
+    # tag each root with its mode number: dominant_defects then returns the
+    # last mode it counts as attaining, and with reversed tags the first
+    tags = np.repeat(np.arange(len(family)), 4)
+    flat = roots.ravel()
+    assert dominant_defects(flat, tags) == 2
+    assert len(family) - 1 - dominant_defects(flat, len(family) - 1 - tags) == bound.index == 0

@@ -61,6 +61,78 @@ def test_operator_norm_rejects_non_finite_input(bad):
         operator_norm(m)
 
 
+_RNG = np.random.default_rng(23)
+NORM_STACKS = {
+    "random": _RNG.standard_normal((3, 5, 4, 4)) * np.exp(_RNG.uniform(-4, 4, (3, 5, 1, 1))),
+    "zero": np.zeros((6, 4, 4)),
+    "identity": np.broadcast_to(np.eye(4), (2, 4, 4)),
+    "near_1e100": _RNG.standard_normal((7, 4, 4)) * 1e100,
+    "one_deep": _RNG.standard_normal((1, 4, 4)),
+    "empty": np.zeros((0, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", NORM_STACKS)
+def test_operator_norm_of_a_stack_is_bit_equal_to_numpy(name):
+    stack = NORM_STACKS[name]
+    got = operator_norm(stack)
+    assert isinstance(got, np.ndarray) and got.shape == stack.shape[:-2]
+    np.testing.assert_array_equal(got, np.linalg.norm(stack, 2, axis=(-2, -1)))
+    for idx in np.ndindex(stack.shape[:-2]):
+        one = operator_norm(stack[idx])
+        assert type(one) is float
+        assert one == got[idx] == np.linalg.norm(stack[idx], 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0, 0), (2, 1, 3, 2)])
+def test_operator_norm_rejects_a_stack_with_any_non_finite_entry(bad, where):
+    stack = np.tile(np.eye(4), (3, 2, 1, 1))
+    stack[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(stack)
+
+
+def test_operator_norm_returns_a_python_float_for_one_matrix():
+    for m in (np.eye(4), np.zeros((4, 4)), [[3.0, 0.0], [0.0, -4.0]], NORM_STACKS["near_1e100"][0]):
+        got = operator_norm(m)
+        assert type(got) is float and got == np.linalg.norm(m, 2)
+
+
+def test_norm_growth_fit_takes_its_norms_from_one_operator_norm_call(monkeypatch):
+    shapes = []
+    inner = sim.operator_norm
+
+    def counting(m):
+        shapes.append(np.shape(m))
+        return inner(m)
+
+    monkeypatch.setattr(sim, "operator_norm", counting)
+    norm_growth_fit(Params(0.5, 0.75), samples=50)
+    assert shapes == [(50, 4, 4)]
+
+
+def test_norm_growth_fit_reports_an_all_overflowing_grid_as_fit_error():
+    # every sampled S(t) past t = 5e3 at eps = 2 is inf/NaN: an empty stack reaches the norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sim.FitError, match="propagator norm inf exceeds overflow guard"):
+            norm_growth_fit(Params(2.0, 1.0), t_max=1e4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: periodic_portrait_check(2.0, ratio_tol=1e-14), id="ratio_tol"),
+        pytest.param(lambda: periodic_portrait_check(2.0, recurrence_tol=1e-6), id="recurrence_tol"),
+        pytest.param(lambda: norm_growth_fit(Params(0.5, 0.75), max_rms=1.0), id="max_rms"),
+    ],
+)
+def test_sim_has_no_tolerance_options(call):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # propagator
 # ---------------------------------------------------------------------------
@@ -150,6 +222,21 @@ def test_criterion_7_reads_no_operator_norm(monkeypatch):
     ok, detail = c7.run()
     assert ok, detail
     assert calls == []
+
+
+def test_criterion_7_takes_one_operator_norm_per_coupling(monkeypatch):
+    shapes = []
+    inner = acceptance.operator_norm
+
+    def counting(m):
+        shapes.append(np.shape(m))
+        return inner(m)
+
+    monkeypatch.setattr(acceptance, "operator_norm", counting)
+    c7 = next(c for c in acceptance.CRITERIA if c.number == 7)
+    ok, detail = c7.run()
+    assert ok and detail == "sup differences 1.0638 > 0.2232 > 0.0558", detail
+    assert shapes == [(1601, 4, 4)] * 3
 
 
 def test_propagator_matches_explicit_solution_at_defective_point():

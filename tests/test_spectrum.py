@@ -14,6 +14,7 @@ from oscpair.spectrum import (
     characteristic_poly_coeffs,
     classify,
     closed_form_eigenvalues,
+    dominant_defects,
     eigenvalue_defect,
     growth_bound,
     minimize_growth_bound,
@@ -647,3 +648,50 @@ def test_decay_bound_underflows_to_negative_zero():
     for omega in (regime.omega_star, growth_bound(p)):
         assert omega == 0.0
         assert math.copysign(1.0, omega) == -1.0
+
+
+@pytest.mark.parametrize("b", [1e-170, 5e-324])
+def test_tiny_coupling_decay_bound_underflows_to_negative_zero(b):
+    # at eps = 0, omega* is about -b^2/2, below the smallest double; the
+    # root quotient loses its sign, and classify restores the sign of decay
+    p = Params(0.0, b)
+    regime = classify(p)
+    assert regime.kind is RegimeKind.EXP_DECAY
+    assert regime.omega_star == 0.0 and math.copysign(1.0, regime.omega_star) == -1.0
+    assert math.copysign(1.0, growth_bound(p)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: optimal_coupling(0.5, b_max=10.0), id="b_max"),
+        pytest.param(lambda: optimal_coupling(0.5, verify=False), id="verify"),
+        pytest.param(
+            lambda: eigenvalue_defect(assemble_matrix(Params(1.0, 1.0)), 1j, rank_tol=1e-8),
+            id="rank_tol",
+        ),
+        pytest.param(
+            lambda: eigenvalue_defect(assemble_matrix(Params(1.0, 1.0)), 1j, cluster_tol=1e-6),
+            id="cluster_tol",
+        ),
+        pytest.param(
+            lambda: closed_form_eigenvalues(Params(1.0, 1.0)).dominant_defect(tol=1e-9),
+            id="Spectrum.dominant_defect.tol",
+        ),
+        pytest.param(
+            lambda: dominant_defects(np.zeros(4), np.zeros(4, dtype=int), tol=1e-9),
+            id="dominant_defects.tol",
+        ),
+    ],
+)
+def test_spectrum_has_no_tolerance_options(call):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        call()
+
+
+def test_eigenvalue_defect_decides_at_the_public_tolerances(monkeypatch):
+    m = assemble_matrix(Params(1.0, 1.0))
+    assert eigenvalue_defect(m, 1j) == 1
+    monkeypatch.setattr(spectrum, "CLUSTER_TOL", 1e-12)  # splits the defective double root
+    with pytest.raises(ValueError, match="within tolerance 1e-12"):
+        eigenvalue_defect(m, 1j)
