@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     p_mod.add_argument("--modes-file", required=True)
     p_mod.add_argument("--epsilon", type=float, required=True)
     p_mod.add_argument("--b", type=float, required=True)
-    p_mod.add_argument("--tail-check", type=int, default=8)
 
     p_acc = sub.add_parser("accept", help="run the acceptance suite")
     p_acc.add_argument("--only", default=None, help="comma-separated criterion numbers")
@@ -160,7 +159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_modes(args: argparse.Namespace) -> int:
     family = load_mode_family(args.modes_file)
     p = Params(args.epsilon, args.b)
-    bound = family_growth_bound(family, p, tail_check=args.tail_check)
+    bound = family_growth_bound(family, p)
     print(f"modes={len(family)}")
     print(f"mu_first={family.mu[0]!r}")
     print(f"family_growth_bound={bound.value!r}")

@@ -81,7 +81,8 @@ class State:
         return cls(u, x, v, y)
 
 
-# A at epsilon = b = 0; _couple sets the three entries that depend on them
+# A at epsilon = b = 0 and unit stiffness; _couple sets the entries that
+# depend on them
 _A0 = np.array(
     [
         [0.0, 1.0, 0.0, 0.0],
@@ -93,8 +94,9 @@ _A0 = np.array(
 _A0.flags.writeable = False
 
 
-def _couple(m: np.ndarray, epsilon, b) -> np.ndarray:
-    """Write b, -b and epsilon into a copy of ``_A0``, matrix axes first.
+def _couple(m: np.ndarray, epsilon, b, mu=1.0) -> np.ndarray:
+    """Write b, -b, epsilon and the stiffness -mu into a copy of ``_A0``,
+    matrix axes first.
 
     ``m`` is one 4x4 matrix, or a stack with its matrix axes moved to the
     front, so that ``m[1, 3]`` holds entry (1, 3) of every matrix.
@@ -102,6 +104,7 @@ def _couple(m: np.ndarray, epsilon, b) -> np.ndarray:
     m[1, 3] = b
     m[3, 1] = -b
     m[3, 3] = epsilon
+    m[1, 0] = m[3, 2] = -mu
     return m
 
 

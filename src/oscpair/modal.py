@@ -17,9 +17,18 @@ operator eigenvalue is small: the full rate (1-eps)/4 is recovered
 exactly when mu >= (1-eps)^2/16.
 
 The quartic is palindromic in lam/sqrt(mu), so growth bounds come from
-the closed forms of :func:`oscpair.spectrum.palindromic_roots`, a whole
-family in one array call, exact even at the quadruple root (eps-1)/4 on
-the threshold with b = (1+eps)/2, which an eigensolver splits.
+the closed forms of :func:`oscpair.spectrum.palindromic_roots`, exact
+even at the quadruple root (eps-1)/4 on the threshold with
+b = (1+eps)/2, which an eigensolver splits.
+
+The per-mode growth bound is non-increasing in mu.  Dividing the quartic
+by lam^2 leaves w^2 + (1-eps)*w + b^2 - eps = 0 in w = lam + mu/lam,
+which does not involve mu, and each w gives the pair
+lam = (w +- s)/2 with s = sqrt(z), z = w^2 - 4*mu.  The larger real part
+of the pair is (Re w + |Re s|)/2, and |Re s|^2 = (|z| + Re z)/2 has
+mu-derivative -2*(1 + Re z/|z|) <= 0 wherever z != 0, and is continuous
+at z = 0.  So the supremum over any family is the bound at its smallest
+eigenvalue, which is how :func:`family_growth_bound` computes it.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import Params, assemble_matrix
-from .spectrum import _attains, palindromic_roots
+from .core import _A0, Params, _couple
+from .spectrum import palindromic_roots
 
 __all__ = [
     "ModeFamily",
@@ -51,8 +60,8 @@ class ModeFamily:
     """Finite list of operator eigenvalues mu, sorted strictly increasing.
 
     Input order does not matter and exact duplicates are dropped, so the
-    family is a set; all entries must be positive (strictly positive
-    operator).
+    family is a set and ``mu[0]`` its smallest eigenvalue; all entries
+    must be positive (strictly positive operator).
     """
 
     mu: tuple[float, ...]
@@ -102,10 +111,7 @@ def mode_matrix(mu: float, p: Params) -> np.ndarray:
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
-    m = assemble_matrix(p)
-    m[1, 0] = -mu
-    m[3, 2] = -mu
-    return m
+    return _couple(_A0.copy(), p.epsilon, p.b, mu)
 
 
 def mode_characteristic_coeffs(mu: float, p: Params) -> tuple[float, float, float, float, float]:
@@ -127,34 +133,17 @@ class FamilyBound(NamedTuple):
     mu: float
 
 
-def family_growth_bound(f: ModeFamily, p: Params, tail_check: int = 8) -> FamilyBound:
+def family_growth_bound(f: ModeFamily, p: Params) -> FamilyBound:
     """Supremum of per-mode growth bounds over a finite mode family.
 
-    Returns the supremum, the (0-based) index of the first mode attaining
-    it within 1e-9 (1 + |sup|), the rule of ``dominant_defects``, and that
-    mode's eigenvalue.  The bound over the last ``tail_check`` modes (every
-    mode if there are fewer, none at 0) must be stabilizing: consecutive
-    tail differences may not grow (beyond a 1e-10 noise floor), since a
-    growing tail would mean the finite truncation says nothing about the
-    full family.  A non-stabilizing tail raises ArithmeticError, a
-    negative ``tail_check`` ValueError.
+    Each root w of the mu-free w^2 + (1-eps)*w + b^2 - eps = 0 gives the
+    mode roots (w +- s)/2, s = sqrt(w^2 - 4*mu), with largest real part
+    (Re w + |Re s|)/2; |Re s| falls as mu grows (module docstring).  So
+    every per-mode bound is non-increasing in mu and the supremum is the
+    bound at the smallest eigenvalue ``f.mu[0]``: one mode is evaluated,
+    and the index returned is always 0.
     """
-    if tail_check < 0:
-        raise ValueError(f"tail_check must be >= 0, got {tail_check!r}")
-    bounds = palindromic_roots(p.epsilon, p.b, np.array(f.mu)).real.max(axis=-1)
-    top = float(bounds.max())
-    index = int(np.argmax(_attains(bounds, top)))
-
-    diffs = np.abs(np.diff(bounds[len(bounds) - min(tail_check, len(bounds)):]))
-    floor = 1e-10 * (1.0 + abs(top))
-    grows = (diffs[1:] > diffs[:-1]) & (diffs[1:] > floor)
-    if grows.any():
-        k = int(np.argmax(grows))
-        raise ArithmeticError(
-            f"mode tail not stabilizing: |diff| grows from {diffs[k]:.3e} "
-            f"to {diffs[k + 1]:.3e} near mode {len(bounds) - len(diffs) + k}"
-        )
-    return FamilyBound(value=top, index=index, mu=f.mu[index])
+    return FamilyBound(value=mode_growth_bound(f.mu[0], p), index=0, mu=f.mu[0])
 
 
 def threshold_check(f: ModeFamily, epsilon: float) -> bool:

@@ -199,17 +199,13 @@ def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
     return np.concatenate((pair, pair), axis=-1)
 
 
-def _attains(values, top):
-    """Where ``values`` are within ``_ATTAIN_RTOL`` (1 + |top|) of the bound ``top``."""
-    return values >= top - _ATTAIN_RTOL * (1.0 + np.abs(top))
-
-
 def dominant_defects(roots, defects) -> np.ndarray:
-    """Largest defect among roots whose real part attains the max by
-    ``_attains`` (within 1e-9 (1 + |max|)), over the last axis."""
+    """Largest defect among roots whose real part attains the max, within
+    ``_ATTAIN_RTOL`` (1 + |max|), over the last axis."""
     real = np.real(roots)
     top = real.max(axis=-1, keepdims=True)
-    return np.where(_attains(real, top), defects, 0).max(axis=-1)
+    attains = real >= top - _ATTAIN_RTOL * (1.0 + np.abs(top))
+    return np.where(attains, defects, 0).max(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -238,15 +238,42 @@ def test_modes_missing_file_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
-def test_modes_unstable_tail_is_numerical_failure(tmp_path, capsys):
-    modes = tmp_path / "bad.txt"
+def test_modes_bound_is_the_first_mode_bound_whatever_the_tail(tmp_path, capsys):
+    modes = tmp_path / "tail.txt"
     modes.write_text("\n".join(str(m) for m in (1.0, 1.1, 1.2, 0.012, 0.005, 0.001)))
-    code, _, err = run_cli(
-        capsys, "modes", "--modes-file", str(modes),
-        "--epsilon", "0.5", "--b", "0.75", "--tail-check", "6",
+    code, out, _ = run_cli(
+        capsys, "modes", "--modes-file", str(modes), "--epsilon", "0.5", "--b", "0.75"
     )
-    assert code == 2
-    assert "not stabilizing" in err
+    assert code == 0
+    assert out == (
+        "modes=6\n"
+        "mu_first=0.001\n"
+        "family_growth_bound=-0.004066133775521755\n"
+        "attained_mode_index=0\n"
+        "attained_mu=0.001\n"
+        "threshold=0.015625\n"
+        "threshold_ok=False\n"
+    )
+
+
+def test_modes_string_of_length_ten(tmp_path, capsys):
+    # first 8 Dirichlet modes (k pi / 10)^2: the bounds of the later modes
+    # change by growing steps, which says nothing about the supremum
+    modes = tmp_path / "string.txt"
+    modes.write_text("\n".join(repr((k * math.pi / 10.0) ** 2) for k in range(1, 9)))
+    code, out, err = run_cli(
+        capsys, "modes", "--modes-file", str(modes), "--epsilon", "0.5", "--b", "2"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "modes=8\n"
+        "mu_first=0.09869604401089357\n"
+        "family_growth_bound=-0.0065152755248875285\n"
+        "attained_mode_index=0\n"
+        "attained_mu=0.09869604401089357\n"
+        "threshold=0.015625\n"
+        "threshold_ok=True\n"
+    )
 
 
 def test_accept_single_criterion(capsys):
@@ -371,14 +398,23 @@ def test_accept_rejects_unknown_criterion_numbers(capsys, only, unknown):
     assert f"unknown criteria {unknown}" in err and "1..10" in err
 
 
-def test_modes_tail_check_zero_checks_nothing_and_negative_is_rejected(tmp_path, capsys):
+def test_modes_tail_check_is_a_usage_error(tmp_path, capsys):
     modes = tmp_path / "modes.txt"
     mu = 10.0 ** np.random.default_rng(1).uniform(-3.0, 4.0, 200)
     modes.write_text("\n".join(map(repr, mu.tolist())))
-    argv = ("modes", "--modes-file", str(modes), "--epsilon", "0.5", "--b", "0.75", "--tail-check")
-    code, out, _ = run_cli(capsys, *argv, "0")
+    argv = ("modes", "--modes-file", str(modes), "--epsilon", "0.5", "--b", "0.75")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert record(out)["family_growth_bound"] == "-0.004473776478615504"
-    code, out, err = run_cli(capsys, *argv, "-1")
-    assert (code, out) == (1, "")
-    assert "tail_check must be >= 0, got -1" in err
+    assert out == (
+        "modes=200\n"
+        "mu_first=0.0010984294436732626\n"
+        "family_growth_bound=-0.004473776478615504\n"
+        "attained_mode_index=0\n"
+        "attained_mu=0.0010984294436732626\n"
+        "threshold=0.015625\n"
+        "threshold_ok=False\n"
+    )
+    for value in ("0", "8", "-1"):
+        code, out, err = run_cli(capsys, *argv, "--tail-check", value)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --tail-check" in err

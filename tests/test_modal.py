@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscpair.core import Params, assemble_matrix
@@ -121,13 +121,14 @@ def test_family_invariant_under_reordering_and_duplication():
     assert a == b
 
 
-def test_family_rejects_non_stabilizing_tail():
-    # growth bounds over these modes change by increasing jumps, so the
-    # truncation cannot certify anything about a larger family
+def test_family_bound_is_the_smallest_mode_bound_whatever_the_tail():
+    # the bounds of the larger modes change by growing jumps; the supremum
+    # is still the bound at the smallest eigenvalue
     p = Params(0.5, 0.75)
-    family = ModeFamily([1.0, 1.1, 1.2, 0.012, 0.005, 0.001])
-    with pytest.raises(ArithmeticError, match="not stabilizing"):
-        family_growth_bound(family, p, tail_check=6)
+    family = ModeFamily([0.001, 0.005, 0.012, 1.0, 1.1, 1.2])
+    bound = family_growth_bound(family, p)
+    assert bound == (mode_growth_bound(0.001, p), 0, 0.001)
+    assert bound.value == -0.004066133775521755
 
 
 def log_uniform_family() -> ModeFamily:
@@ -135,19 +136,14 @@ def log_uniform_family() -> ModeFamily:
     return ModeFamily(10.0 ** np.random.default_rng(1).uniform(-3.0, 4.0, 200))
 
 
-def test_family_tail_check_zero_checks_nothing():
-    family, p = log_uniform_family(), Params(0.5, 0.75)
-    for tail_check in (8, 1, 0):
-        bound = family_growth_bound(family, p, tail_check=tail_check)
-        assert (bound.value, bound.index) == (-0.004473776478615504, 0)
-    with pytest.raises(ArithmeticError, match="not stabilizing"):
-        family_growth_bound(family, p, tail_check=200)
+def test_family_log_uniform_bound_at_the_first_mode():
+    bound = family_growth_bound(log_uniform_family(), Params(0.5, 0.75))
+    assert (bound.value, bound.index) == (-0.004473776478615504, 0)
 
 
-@pytest.mark.parametrize("tail_check", [-1, -3])
-def test_family_rejects_negative_tail_check(tail_check):
-    with pytest.raises(ValueError, match=f"tail_check must be >= 0, got {tail_check}"):
-        family_growth_bound(log_uniform_family(), Params(0.5, 0.75), tail_check=tail_check)
+def test_family_has_no_tail_check_option():
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        family_growth_bound(log_uniform_family(), Params(0.5, 0.75), tail_check=8)
 
 
 def test_mode_family_normalizes_and_validates():
@@ -255,20 +251,53 @@ def test_family_bound_equals_per_mode_bounds():
     assert got.index == bounds.index(max(bounds))
 
 
-def test_family_attainment_and_dominant_defects_share_one_rule():
+def test_dominant_defects_counts_roots_within_the_attainment_window():
     # near mu = 1000 at (0.5, 0.8) the bound falls by about 2.7e-7 per unit
     # of mu, so these modes sit 0, 0.49, 0.73, 1.47 and 1.96 windows of
-    # 1e-9 (1 + |sup|) below the sup
+    # 1e-9 (1 + |max|) below the max
     p = Params(0.5, 0.8)
-    family = ModeFamily([1000.0, 1000.002, 1000.003, 1000.006, 1000.008])
-    bound = family_growth_bound(family, p, tail_check=0)
-    roots = palindromic_roots(p.epsilon, p.b, np.array(family.mu))
-    window = 1e-9 * (1.0 + abs(bound.value))
-    gaps = (bound.value - roots.real.max(axis=-1)) / window
+    mu = np.array([1000.0, 1000.002, 1000.003, 1000.006, 1000.008])
+    roots = palindromic_roots(p.epsilon, p.b, mu)
+    bounds = roots.real.max(axis=-1)
+    window = 1e-9 * (1.0 + abs(bounds[0]))
+    gaps = (bounds[0] - bounds) / window
     assert gaps[0] == 0.0 and 0.0 < gaps[1] < gaps[2] < 1.0 < gaps[3] < gaps[4]
     # tag each root with its mode number: dominant_defects then returns the
     # last mode it counts as attaining, and with reversed tags the first
-    tags = np.repeat(np.arange(len(family)), 4)
+    tags = np.repeat(np.arange(len(mu)), 4)
     flat = roots.ravel()
     assert dominant_defects(flat, tags) == 2
-    assert len(family) - 1 - dominant_defects(flat, len(family) - 1 - tags) == bound.index == 0
+    assert len(mu) - 1 - dominant_defects(flat, len(mu) - 1 - tags) == 0
+
+
+# ---------------------------------------------------------------------------
+# the family bound is the first mode's bound
+# ---------------------------------------------------------------------------
+
+_MU = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.one_of(st.floats(0.0, 3.0), st.just(1.0)),
+    b=st.one_of(st.floats(1e-3, 1e3), st.none()),
+    mu=st.tuples(_MU, _MU).filter(lambda pair: pair[0] != pair[1]).map(sorted),
+)
+@example(eps=0.5, b=None, mu=[0.015625 * (1.0 - 1e-9), 0.015625])  # across the quadruple root
+@example(eps=0.5, b=None, mu=[0.015625, 0.015625 * (1.0 + 1e-9)])
+@example(eps=1.0, b=1.0, mu=[1e-6, 1e6])
+def test_mode_growth_bound_is_non_increasing_in_mu(eps, b, mu):
+    # b = None draws the optimal coupling (1+eps)/2
+    p = Params(eps, (1.0 + eps) / 2.0 if b is None else b)
+    assert mode_growth_bound(mu[0], p) >= mode_growth_bound(mu[1], p)
+
+
+def test_family_bound_is_bit_equal_to_the_max_of_the_mode_bounds():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        eps, b = rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        p = Params(eps, (1.0 + eps) / 2.0 if rng.random() < 0.25 else b)
+        family = ModeFamily(10.0 ** rng.uniform(-4.0, 4.0, rng.integers(1, 40)))
+        bounds = [mode_growth_bound(mu, p) for mu in family.mu]
+        got = family_growth_bound(family, p)
+        assert got == (max(bounds), 0, family.mu[0])

@@ -1,11 +1,14 @@
 """Static checks on the package source, standing in for a linter."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import oscpair
+from oscpair import cli
 
 SOURCES = sorted(Path(oscpair.__file__).parent.glob("*.py"))
 
@@ -141,3 +144,54 @@ def test_dead_private_name_check_flags_only_unreferenced_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def parser_options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Long options of each sub-command, ``--help`` left out."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        verb: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for verb, p in sub.choices.items()
+    }
+
+
+def readme_options(text: str) -> tuple[dict[str, set[str]], set[str]]:
+    """Options on the ``oscpair <verb>`` lines of the "Command line" section,
+    by verb, and every ``--flag`` the section mentions anywhere."""
+    section = text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flag = re.compile(r"--[a-z][a-z0-9-]*")
+    by_verb: dict[str, set[str]] = {}
+    for line in section.splitlines():
+        words = line.split()
+        if len(words) > 1 and words[0] == "oscpair":
+            by_verb.setdefault(words[1], set()).update(flag.findall(line.split("#", 1)[0]))
+    return by_verb, set(flag.findall(section))
+
+
+def test_readme_option_check_flags_missing_and_unknown_options():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    sub.add_parser("run").add_argument("--fast")
+    sub.add_parser("stop").add_argument("--now")
+    text = (
+        "## Command line\n\n"
+        "oscpair run --fast   # also --now for stop, --gone for none\n"
+        "oscpair stop\n\n"
+        "## Next\n\noscpair stop --now\n"
+    )
+    by_verb, mentioned = readme_options(text)
+    assert parser_options(parser) == {"run": {"--fast"}, "stop": {"--now"}}
+    assert by_verb == {"run": {"--fast"}, "stop": set()}
+    assert mentioned == {"--fast", "--now", "--gone"}
+
+
+def test_readme_documents_every_cli_option():
+    options = parser_options(cli._build_parser())
+    by_verb, mentioned = readme_options(README.read_text())
+    assert {verb: options[verb] - by_verb.get(verb, set()) for verb in options} == {
+        verb: set() for verb in options
+    }
+    assert mentioned - set().union(*options.values()) == set()
