@@ -141,9 +141,11 @@ def test_family_log_uniform_bound_at_the_first_mode():
     assert (bound.value, bound.index) == (-0.004473776478615504, 0)
 
 
-def test_family_has_no_tail_check_option():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        family_growth_bound(log_uniform_family(), Params(0.5, 0.75), tail_check=8)
+@pytest.mark.parametrize("tail_check", [-1, -3, 8])
+def test_family_rejects_negative_tail_check(tail_check):
+    # there is no tail check any more: every value of the keyword is refused
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tail_check'"):
+        family_growth_bound(log_uniform_family(), Params(0.5, 0.75), tail_check=tail_check)
 
 
 def test_mode_family_normalizes_and_validates():
