@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Params, State, energy
 from .sim import Trajectory, asymptotic_propagator, integrate, periodic_portrait_check
-from .spectrum import growth_bound
+from .spectrum import RegimeKind, classify
 
 __all__ = [
     "ENERGY_OVERFLOW",
@@ -129,17 +129,16 @@ def default_figure_spec(
 
 
 def _block_trajectory(p: Params, spec: FigureSpec, samples: int) -> tuple[Trajectory, bool]:
-    """Integrate one block, stopping early if the energy would overflow."""
-    t_end = spec.t_end
-    omega = growth_bound(p)
-    truncated = False
-    if omega > 1e-9:
-        e0 = max(energy(spec.z0), 1e-12)
+    """Integrate one block, an ExpBlowup one only until its energy would
+    overflow at the rate omega* (never if that rate underflows to 0)."""
+    regime = classify(p)
+    t_end, truncated = spec.t_end, False
+    if regime.kind is RegimeKind.EXP_BLOWUP and regime.omega_star > 0.0:
+        growth = math.log(ENERGY_OVERFLOW) - math.log(2.0 * max(energy(spec.z0), 1e-12))
         # zero when the start is already past the cap, so a one-unit window is left
-        t_over = max(0.0, (math.log(ENERGY_OVERFLOW) - math.log(2.0 * e0)) / (2.0 * omega))
-        if t_over < t_end:
-            t_end = min(t_end, 1.02 * t_over + 1.0)
-            truncated = True
+        t_over = max(0.0, growth / (2.0 * regime.omega_star))
+        truncated = t_over < t_end
+        t_end = min(t_end, 1.02 * t_over + 1.0)
     return integrate(p, spec.z0, t_end, samples=samples), truncated
 
 
@@ -152,9 +151,9 @@ def write_figure(
 
     Deterministic: the same spec produces byte-identical files.  Floats
     are printed with shortest round-trip precision, so re-parsing the
-    CSV reproduces the computed trajectory exactly.  In blowing-up
-    regimes the series is truncated at E > 1e100 and a note row is
-    inserted.
+    CSV reproduces the computed trajectory exactly.  A block is truncated
+    where E passes 1e100 and a note row is inserted; an ExpBlowup block
+    (:func:`classify`) is integrated only to about that point.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Params, State, assemble_matrix
-from .spectrum import growth_bound
+from .spectrum import RegimeKind, classify
 
 __all__ = [
     "IntegrationError",
@@ -62,8 +62,9 @@ _CORNER_CAP = 100.0
 _DRIFT_CAP = 1e-6
 _MAX_RMS = 1.0  # largest rms residual of norm_growth_fit's trend
 # periodic_portrait_check: relative frequency-ratio tolerance, times the
-# ratio's condition number, and largest recurrence gap |z(T) - z0|
-_RATIO_TOL, _RECURRENCE_TOL = 1e-14, 1e-6
+# ratio's condition number, largest recurrence gap |z(T) - z0|, and the
+# end of the aperiodic scan
+_RATIO_TOL, _RECURRENCE_TOL, _SCAN_T_MAX = 1e-14, 1e-6, 200.0
 
 
 class _LazyExpm:
@@ -343,8 +344,8 @@ def norm_growth_fit(
 
     Measures the exponential rate w and the polynomial correction degree
     d of the propagator norm.  The fit window starts at t_max/2 to
-    suppress transients.  When ``t_max`` is omitted it defaults to 60 in
-    blowing-up regimes (overflow guard) and 200 otherwise.
+    suppress transients.  When ``t_max`` is omitted it is 60 if
+    :func:`classify` gives ExpBlowup (overflow guard) and 200 otherwise.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
     come from one :func:`operator_norm` call on the stack.
@@ -363,7 +364,7 @@ def norm_growth_fit(
     if samples < 4:
         raise ValueError(f"norm-growth fit needs samples >= 4, got {samples}")
     if t_max is None:
-        t_max = 60.0 if growth_bound(p) > 1e-12 else 200.0
+        t_max = 60.0 if classify(p).kind is RegimeKind.EXP_BLOWUP else 200.0
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     m = assemble_matrix(p)
@@ -398,7 +399,7 @@ def norm_growth_fit(
     )
 
 
-def periodic_portrait_check(b: float, t_max: float = 200.0) -> tuple[bool, float]:
+def periodic_portrait_check(b: float) -> tuple[bool, float]:
     """Decide whether the eps = 1, b > 1 phase portrait is periodic.
 
     The two angular frequencies are w+- = (sqrt(b^2+3) +- sqrt(b^2-1))/2
@@ -414,14 +415,12 @@ def periodic_portrait_check(b: float, t_max: float = 200.0) -> tuple[bool, float
     Either verdict is cross-checked against the trajectory z(t) = S(t)z0
     with z0 = (1,0,0,0): a periodic verdict must recur to within
     ``_RECURRENCE_TOL`` = 1e-6 at T, an aperiodic one must not recur
-    anywhere on a uniform grid over [0.5, t_max], stepped exactly by S(dt).
-    Violations, and a non-finite gap or orbit, raise IntegrationError,
-    and ValueError unless b > 1 and ``t_max`` > 0.5 are both finite.
+    anywhere on a uniform grid over [0.5, ``_SCAN_T_MAX``] = [0.5, 200],
+    stepped exactly by S(dt).  Violations, and a non-finite gap or orbit,
+    raise IntegrationError, and ValueError unless b > 1 is finite.
     """
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"periodicity check requires finite b > 1, got {b}")
-    if not (t_max > 0.5 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be finite and > 0.5, got {t_max}")
     w_plus = (math.sqrt(b * b + 3.0) + math.sqrt(b * b - 1.0)) / 2.0
     ratio = w_plus * w_plus
     cond = 2.0 * b * b / math.sqrt((b * b + 3.0) * (b * b - 1.0))
@@ -439,7 +438,7 @@ def periodic_portrait_check(b: float, t_max: float = 200.0) -> tuple[bool, float
                 f"predicted period {period:g} fails recurrence: gap {gap:.3e}"
             )
         return True, period
-    ts, dt = np.linspace(0.5, t_max, 1024, retstep=True)
+    ts, dt = np.linspace(0.5, _SCAN_T_MAX, 1024, retstep=True)
     with np.errstate(over="ignore", invalid="ignore"):
         orbit = _march(expm(dt * m), expm(ts[0] * m) @ z0, len(ts) - 1)
     if not np.isfinite(orbit).all():

@@ -79,8 +79,8 @@ CLUSTER_TOL = 1e-6
 # b = 1, b = sqrt(eps), b = (1+eps)/2, ...) that decide regimes and defects.
 BOUNDARY_RTOL = 1e-12
 
-_ATTAIN_RTOL = 1e-9  # within _ATTAIN_RTOL (1 + |bound|) attains the bound
 _ZOOM = 64  # points per bracketing level of minimize_growth_bound
+_SCAN_ULPS = 2000  # minimize_growth_bound scans every float of a bracket this narrow
 _SCAN_B_MAX = 10.0  # optimal_coupling checks its closed form on [0, _SCAN_B_MAX]
 
 
@@ -200,12 +200,18 @@ def root_defects(epsilon, b, mu=1.0) -> np.ndarray:
 
 
 def dominant_defects(roots, defects) -> np.ndarray:
-    """Largest defect among roots whose real part attains the max, within
-    ``_ATTAIN_RTOL`` (1 + |max|), over the last axis."""
-    real = np.real(roots)
-    top = real.max(axis=-1, keepdims=True)
-    attains = real >= top - _ATTAIN_RTOL * (1.0 + np.abs(top))
-    return np.where(attains, defects, 0).max(axis=-1)
+    """Defect of the root of largest real part, over the last axis.
+
+    The roots attaining the max real part share one defect, so no window
+    is needed.  :func:`root_defects` gives all four roots one defect
+    (b = (1+eps)/2), or defect 1 to the pair of w = +-r, r = 2 sqrt(mu),
+    whose double root is +-sqrt(mu); that w is real, so the other is too.
+    A root of the other pair with the same real part is either complex,
+    its pair conjugate with product mu, so |lam|^2 = mu and Im lam = 0; or
+    it is +-sqrt(mu), so its pair has w = +-r: then w+ = w-, b = (1+eps)/2.
+    """
+    top = np.argmax(np.real(roots), axis=-1)[..., None]
+    return np.take_along_axis(np.asarray(defects), top, axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -226,7 +232,7 @@ class Spectrum:
         return max(lam.real for lam in self.eigenvalues)
 
     def dominant_defect(self) -> int:
-        """Largest defect among eigenvalues attaining the growth bound."""
+        """Defect of the eigenvalue of largest real part (:func:`dominant_defects`)."""
         return int(dominant_defects(np.array(self.eigenvalues), np.array(self.defects)))
 
 
@@ -290,10 +296,11 @@ class RegimeKind(Enum):
 class Regime:
     """Classification verdict: behavior kind, growth bound, defect penalty.
 
-    ``defect_penalty`` is the largest defect among eigenvalues attaining
-    omega*; it is the degree of the polynomial correction t^d multiplying
-    the exponential envelope of the propagator norm.  For POLY_BLOWUP it
-    doubles as the blow-up degree.
+    ``defect_penalty`` is the defect shared by the eigenvalues attaining
+    omega* (:func:`dominant_defects`), the degree of the polynomial
+    correction t^d multiplying the exponential envelope of the propagator
+    norm; for POLY_BLOWUP also the blow-up degree.  ``kind`` alone decides
+    blow-up: the horizon of ``norm_growth_fit`` and figure truncation.
     """
 
     kind: RegimeKind
@@ -353,37 +360,31 @@ def _regime(p: Params, spectrum: Spectrum) -> Regime:
     return Regime(kind=kind, omega_star=omega, defect_penalty=penalty)
 
 
-def minimize_growth_bound(
-    epsilon: float, b_lo: float, b_hi: float, scan_ulps: int = 2000
-) -> tuple[float, float]:
+def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[float, float]:
     """Numerically minimize omega*(b) over [b_lo, b_hi] at fixed epsilon.
 
     Bracketing over int64 bit patterns, which are consecutive for
     consecutive non-negative floats: each level evaluates ``_ZOOM`` points
     evenly spaced in pattern space in one array call and keeps the
     neighbours of the first minimum as the bracket, until it spans at most
-    ``scan_ulps`` ulps; then every float in it is evaluated and the first
-    minimum wins.  Any bracket takes at most a dozen levels.  The
+    ``_SCAN_ULPS`` = 2000 ulps; then every float in it is evaluated and
+    the first minimum wins.  Any bracket takes at most a dozen levels.  The
     exhaustive finish matters: at the optimum the growth bound has a
     square-root cusp, so its value locates the minimizer only to
     sqrt(eps_machine), and sampling can stop short of the exact
     floating-point argmin.
 
-    Requires 0 <= b_lo < b_hi < inf and scan_ulps >= 1.  Returns
-    (b_opt, omega*(b_opt)).
+    Requires 0 <= b_lo < b_hi < inf.  Returns (b_opt, omega*(b_opt)).
     """
-    if not (0.0 <= b_lo < b_hi < math.inf and scan_ulps >= 1):
-        raise ValueError(
-            f"need 0 <= b_lo < b_hi < inf and scan_ulps >= 1, "
-            f"got [{b_lo!r}, {b_hi!r}], {scan_ulps!r}"
-        )
+    if not 0.0 <= b_lo < b_hi < math.inf:
+        raise ValueError(f"need 0 <= b_lo < b_hi < inf, got [{b_lo!r}, {b_hi!r}]")
     # adding 0.0 turns -0.0, whose pattern is negative, into +0.0
     lo, hi = (int(np.float64(x + 0.0).view(np.int64)) for x in (b_lo, b_hi))
 
     def omega(patterns):
         return palindromic_roots(epsilon, patterns.view(np.float64)).real.max(axis=-1)
 
-    while hi - lo > scan_ulps:
+    while hi - lo > _SCAN_ULPS:
         patterns = np.array([lo + k * (hi - lo) // (_ZOOM - 1) for k in range(_ZOOM)])
         k = int(np.argmin(omega(patterns)))
         lo, hi = int(patterns[max(k - 1, 0)]), int(patterns[min(k + 1, _ZOOM - 1)])

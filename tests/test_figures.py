@@ -13,6 +13,7 @@ from oscpair.figures import (
     write_figure,
 )
 from oscpair.sim import asymptotic_propagator
+from oscpair.spectrum import Regime, RegimeKind, classify
 
 
 def test_all_default_specs_build():
@@ -194,6 +195,37 @@ def test_blowup_series_truncated_with_note(tmp_path):
     block = parse_figure_csv(csv_path)[0]
     assert block["E"].max() <= 1e100
     assert block["t"].max() < 300.0
+
+
+@pytest.mark.parametrize(
+    "p",
+    # growth_bound reads 0 or a few ulps of either sign on the boundaries, and
+    # 5e-7 at (1, 1 - 5e-13), which classify puts on the (1, 1) boundary;
+    # (0.5, 0.75) is b = (1+eps)/2
+    [Params(1.0, 1.0), Params(1.0, 1.0 - 5e-13), Params(1.0, 2.0),
+     Params(0.7, math.sqrt(0.7)), Params(0.9, math.sqrt(0.9)), Params(0.5, 0.75)],
+    ids=repr,
+)
+def test_only_exp_blowup_blocks_are_truncated(tmp_path, p):
+    blowup = Params(1.5, 1.25)  # b = (1+eps)/2 with eps > 1: omega* = 1/8
+    spec = FigureSpec("fig1", (p, blowup, p), State(1, 0, 0, 0), 1000.0, "mixed")
+    csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)
+    lines = csv_path.read_text().splitlines()
+    notes = [k for k, line in enumerate(lines) if line.startswith("# truncated")]
+    assert len(notes) == 1
+    assert lines.index("# block 1: epsilon=1.5 b=1.25") < notes[0] < lines.index(
+        f"# block 2: {spec.labels[2]}"
+    )
+    assert [_block_trajectory(q, spec, 50)[1] for q in spec.params] == [False, True, False]
+
+
+def test_blowup_rate_underflowing_to_zero_is_not_truncated():
+    # b = sqrt(eps) (1 - 1e-11) at a subnormal eps: ExpBlowup, at a rate of 0.0
+    p = Params(1e-320, 9.99994433565849e-161)
+    assert classify(p) == Regime(RegimeKind.EXP_BLOWUP, 0.0, 0)
+    spec = FigureSpec("fig9", (p,), State(1, 0, 0, 0), 50.0, "tiny")
+    traj, truncated = _block_trajectory(p, spec, 50)
+    assert not truncated and traj.times[-1] == 50.0
 
 
 def test_portrait_block_closes_for_periodic_coupling(tmp_path):

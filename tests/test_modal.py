@@ -253,23 +253,68 @@ def test_family_bound_equals_per_mode_bounds():
     assert got.index == bounds.index(max(bounds))
 
 
-def test_dominant_defects_counts_roots_within_the_attainment_window():
+def test_dominant_defects_returns_the_tag_of_the_largest_real_part_root():
     # near mu = 1000 at (0.5, 0.8) the bound falls by about 2.7e-7 per unit
-    # of mu, so these modes sit 0, 0.49, 0.73, 1.47 and 1.96 windows of
-    # 1e-9 (1 + |max|) below the max
+    # of mu, so these modes' bounds sit within 2e-9 of each other
     p = Params(0.5, 0.8)
     mu = np.array([1000.0, 1000.002, 1000.003, 1000.006, 1000.008])
     roots = palindromic_roots(p.epsilon, p.b, mu)
     bounds = roots.real.max(axis=-1)
-    window = 1e-9 * (1.0 + abs(bounds[0]))
-    gaps = (bounds[0] - bounds) / window
-    assert gaps[0] == 0.0 and 0.0 < gaps[1] < gaps[2] < 1.0 < gaps[3] < gaps[4]
-    # tag each root with its mode number: dominant_defects then returns the
-    # last mode it counts as attaining, and with reversed tags the first
+    assert np.all(np.diff(bounds) < 0.0) and bounds[0] - bounds[-1] < 3e-9
+    # tag each root with its mode number: the first mode's tag comes back
+    # whichever way the tags run
     tags = np.repeat(np.arange(len(mu)), 4)
     flat = roots.ravel()
-    assert dominant_defects(flat, tags) == 2
-    assert len(mu) - 1 - dominant_defects(flat, len(mu) - 1 - tags) == 0
+    assert dominant_defects(flat, tags) == 0
+    assert dominant_defects(flat, len(mu) - 1 - tags) == len(mu) - 1
+    # and per mode, the index of each mode's largest-real-part root
+    np.testing.assert_array_equal(
+        dominant_defects(roots, np.arange(4 * len(mu)).reshape(-1, 4)),
+        4 * np.arange(len(mu)) + roots.real.argmax(axis=-1),
+    )
+
+
+def window_rule(roots, defects):
+    """The earlier rule: the largest defect among roots within 1e-9 (1 + |max|)
+    of the max real part."""
+    real = roots.real
+    top = real.max(axis=-1, keepdims=True)
+    attains = real >= top - 1e-9 * (1.0 + np.abs(top))
+    return np.where(attains, defects, 0).max(axis=-1)
+
+
+def test_dominant_defects_equals_the_window_rule_where_defects_occur():
+    rng = np.random.default_rng(15)
+    n = 4000
+    eps, mu = rng.uniform(0.0, 3.0, n), 10.0 ** rng.uniform(-4.0, 2.0, n)
+    r = 2.0 * np.sqrt(mu)
+    pick = rng.integers(0, 3, n)
+    eps = np.where(pick == 2, 1.0, eps)  # the line eps = 1
+    # the two double-root curves b^2 = (1 + r)(eps - r) and (1 - r)(eps + r)
+    with np.errstate(invalid="ignore"):
+        curve_plus = np.sqrt(1.0 + r) * np.sqrt(eps - r)
+        curve_minus = np.sqrt(1.0 - r) * np.sqrt(eps + r)
+    half = 0.5 * (1.0 + eps)
+    threshold = (1.0 - eps) ** 2 / 16.0
+    points = [
+        (eps, curve_plus, mu),
+        (eps, curve_minus, mu),
+        (eps, half, mu),  # b = (1+eps)/2: every root double
+        (eps, half, threshold),  # and the threshold mode: quadruple
+        (eps, 10.0 ** rng.uniform(-3.0, 3.0, n), threshold),
+        (eps, 10.0 ** rng.uniform(-3.0, 3.0, n), mu),
+    ]
+    checked = 0
+    for e, b, m in points:
+        keep = np.isfinite(b) & (b > 0.0)
+        e, b, m = e[keep], b[keep], m[keep]
+        roots = palindromic_roots(e, b, m)
+        defects = root_defects(e, b, m)
+        got = dominant_defects(roots, defects)
+        assert got.dtype == defects.dtype
+        np.testing.assert_array_equal(got, window_rule(roots, defects))
+        checked += e.size
+    assert checked > 15_000
 
 
 # ---------------------------------------------------------------------------

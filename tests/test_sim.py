@@ -20,7 +20,7 @@ from oscpair.sim import (
     periodic_portrait_check,
     propagator,
 )
-from oscpair.spectrum import growth_bound
+from oscpair.spectrum import RegimeKind, classify, growth_bound
 
 SIM_GRID = [
     Params(0.0, 0.5),
@@ -126,6 +126,7 @@ def test_norm_growth_fit_reports_an_all_overflowing_grid_as_fit_error():
         pytest.param(lambda: periodic_portrait_check(2.0, ratio_tol=1e-14), id="ratio_tol"),
         pytest.param(lambda: periodic_portrait_check(2.0, recurrence_tol=1e-6), id="recurrence_tol"),
         pytest.param(lambda: norm_growth_fit(Params(0.5, 0.75), max_rms=1.0), id="max_rms"),
+        pytest.param(lambda: periodic_portrait_check(2.0, t_max=200.0), id="t_max"),
     ],
 )
 def test_sim_has_no_tolerance_options(call):
@@ -655,6 +656,31 @@ def test_norm_growth_fit_tracks_growth_bound_when_blowing_up():
     assert abs(fit.rate - growth_bound(p)) <= 0.02 * (1.0 + growth_bound(p))
 
 
+# growth_bound reads 0 or a few ulps of either sign on the boundaries, and
+# 5e-7 at (1, 1 - 5e-13), which classify puts on the (1, 1) boundary;
+# (0.5, 0.75) is b = (1+eps)/2
+BOUNDARY_PAIRS = [
+    Params(0.7, math.sqrt(0.7)),
+    Params(0.9, math.sqrt(0.9)),
+    Params(1.0, 1.0),
+    Params(1.0, 1.0 - 5e-13),
+    Params(1.0, 2.0),
+    Params(0.5, 0.75),
+]
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PAIRS, ids=repr)
+def test_norm_growth_fit_horizon_is_the_regimes(p):
+    assert classify(p).kind is not RegimeKind.EXP_BLOWUP
+    assert norm_growth_fit(p) == norm_growth_fit(p, t_max=200.0)
+
+
+@pytest.mark.parametrize("p", [Params(1.5, 1.25), Params(1.0, 0.5), Params(0.5, 0.35)], ids=repr)
+def test_norm_growth_fit_blowup_horizon_is_60(p):
+    assert classify(p).kind is RegimeKind.EXP_BLOWUP
+    assert norm_growth_fit(p) == norm_growth_fit(p, t_max=60.0)
+
+
 def test_norm_growth_fit_aborts_on_overflow():
     from oscpair.sim import FitError
 
@@ -732,12 +758,6 @@ def test_periodicity_rejected_for_unit_coupling():
 def test_periodicity_rejects_non_finite_coupling(b):
     with pytest.raises(ValueError, match="requires finite b > 1"):
         periodic_portrait_check(b)
-
-
-@pytest.mark.parametrize("t_max", [-5.0, 0.1, 0.5, math.inf, math.nan])
-def test_periodicity_rejects_horizon_before_the_grid_start(t_max):
-    with pytest.raises(ValueError, match="t_max must be finite and > 0.5"):
-        periodic_portrait_check(math.sqrt(2.0), t_max=t_max)
 
 
 def test_no_recurrence_for_quadratic_irrational_ratio():
