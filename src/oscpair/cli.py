@@ -25,8 +25,8 @@ from .core import Params, State
 from .figures import FIGURE_IDS, default_figure_spec, write_figure
 from .modal import family_growth_bound, load_mode_family, threshold_check
 from .sim import FitError, IntegrationError
-from .spectrum import RegimeKind, _regime, closed_form_eigenvalues
-from .spectrum import dominant_defects, palindromic_roots, root_defects
+from .spectrum import RegimeKind, _regime, _regimes, closed_form_eigenvalues
+from .spectrum import palindromic_roots, root_defects
 
 __all__ = ["main"]
 
@@ -138,9 +138,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("need 0 < b-min < b-max")
     Params(args.epsilon, args.b_max)  # validates epsilon and the range end
     grid = np.linspace(args.b_min, args.b_max, args.n)
-    roots = palindromic_roots(args.epsilon, grid)
-    omega = roots.real.max(axis=-1)
-    defect = dominant_defects(roots, root_defects(args.epsilon, grid))
+    roots, defects = palindromic_roots(args.epsilon, grid), root_defects(args.epsilon, grid)
+    _, omega, defect = _regimes(args.epsilon, grid, roots, defects)
     rows = list(zip(grid.tolist(), omega.tolist(), defect.tolist()))
     best = rows[int(np.argmin(omega))]
     lines = ["b,omega_star,defect"]

@@ -280,7 +280,8 @@ def growth_bound(p: Params) -> float:
     In the decay regime omega* is about -(1-eps)/(4 b^2), which underflows
     for b above about 1e162: the result is then -0.0.  At eps = 0 it is
     about -b^2/2 and underflows for b below about 1e-162: the result is
-    then +0.0, the sign lost in a root quotient (:func:`classify` keeps it).
+    then +0.0, the sign lost in a root quotient.  :func:`classify` and
+    ``oscpair sweep`` keep the sign; this raw abscissa does not.
     """
     return float(palindromic_roots(p.epsilon, p.b).real.max())
 
@@ -323,41 +324,38 @@ def classify(p: Params) -> Regime:
     exact zero for consistency with the kind.  An ExpDecay verdict whose
     rate underflows (b above about 1e162, or eps = 0 and b below about
     1e-162; see :func:`growth_bound`) reports omega* = -0.0, the sign bit
-    of decay.  Evaluates :func:`closed_form_eigenvalues` once.
+    of decay.  Evaluates :func:`closed_form_eigenvalues` once.  Every row
+    of ``oscpair sweep`` is decided by the same rule.
     """
     return _regime(p, closed_form_eigenvalues(p))
+
+
+_KINDS = tuple(RegimeKind)  # indexed by the kind codes of _regimes
+
+
+def _regimes(epsilon, b, roots, defects):
+    """:func:`classify`'s kind codes, omega* and dominant defect at one
+    epsilon over b, a float or an array, given ``roots`` and ``defects``
+    from :func:`palindromic_roots` and :func:`root_defects`."""
+    if _is_close(epsilon, 1.0):
+        edge, on_edge, above = 1.0, 1, 2  # polynomial blow-up at b = 1, bounded above
+    elif epsilon > 1.0:
+        edge, on_edge, above = math.inf, 0, 0  # exponential blow-up for every b
+    else:
+        edge, on_edge, above = math.sqrt(epsilon), 2, 3  # bounded at sqrt(eps), decay above
+    kinds = np.where(_is_close(b, edge), on_edge, np.where(b < edge, 0, above))
+    omega = roots.real.max(axis=-1)
+    omega = np.where((kinds == 1) | (kinds == 2), 0.0, omega)  # bounded or polynomial: omega* = 0
+    omega = np.where((kinds == 3) & ~(omega < 0.0), -0.0, omega)  # keeps the sign of decay
+    return kinds, omega, dominant_defects(roots, defects)
 
 
 def _regime(p: Params, spectrum: Spectrum) -> Regime:
     """:func:`classify` given ``spectrum = closed_form_eigenvalues(p)``, so
     that a caller that also reports the spectrum evaluates it only once."""
-    eps, b = p.epsilon, p.b
-
-    if _is_close(eps, 1.0):
-        if _is_close(b, 1.0):
-            kind = RegimeKind.POLY_BLOWUP
-        elif b < 1.0:
-            kind = RegimeKind.EXP_BLOWUP
-        else:
-            kind = RegimeKind.BOUNDED_NON_DECAYING
-    elif eps > 1.0:
-        kind = RegimeKind.EXP_BLOWUP
-    else:
-        root = math.sqrt(eps)
-        if _is_close(b, root):
-            kind = RegimeKind.BOUNDED_NON_DECAYING
-        elif b < root:
-            kind = RegimeKind.EXP_BLOWUP
-        else:
-            kind = RegimeKind.EXP_DECAY
-
-    omega = spectrum.omega_star
-    if kind in (RegimeKind.POLY_BLOWUP, RegimeKind.BOUNDED_NON_DECAYING):
-        omega = 0.0
-    elif kind is RegimeKind.EXP_DECAY and not omega < 0.0:
-        omega = -0.0  # an underflowed rate keeps the sign of decay
-    penalty = spectrum.dominant_defect()
-    return Regime(kind=kind, omega_star=omega, defect_penalty=penalty)
+    kind, omega, defect = _regimes(
+        p.epsilon, p.b, np.array(spectrum.eigenvalues), np.array(spectrum.defects))
+    return Regime(kind=_KINDS[int(kind)], omega_star=float(omega), defect_penalty=int(defect))
 
 
 def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[float, float]:

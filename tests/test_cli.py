@@ -347,6 +347,65 @@ def test_classify_evaluates_the_palindromic_core_once(monkeypatch, capsys):
     assert calls == {"palindromic_roots": 1, "root_defects": 1}
 
 
+def test_sweep_evaluates_the_palindromic_core_once(monkeypatch, capsys):
+    calls = {"palindromic_roots": 0, "root_defects": 0}
+
+    def counting(name):
+        original = getattr(spectrum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (spectrum, cli):  # cli binds the names it imports
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    argv = ("sweep", "--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8", "--n", "11")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {"palindromic_roots": 1, "root_defects": 1}
+
+
+def boundary_sweep_windows() -> list[tuple[float, float, float, int]]:
+    """(eps, b_min, b_max, n) with b_min exactly on a regime boundary: half
+    on b = sqrt(eps), a quarter on eps = 1 from b = 1, the rest at eps = 0
+    from b = 1e-170, where the decay rate underflows."""
+    rng = np.random.default_rng(16)
+    windows = [(0.9, math.sqrt(0.9), 1.0, 2)]
+    for eps, width in zip(rng.uniform(0.0, 1.0, 3).tolist(), rng.uniform(0.01, 1.0, 3).tolist()):
+        windows.append((eps, math.sqrt(eps), math.sqrt(eps) + width, 40))
+    windows += [(1.0, 1.0, hi, 40) for hi in rng.uniform(1.01, 4.0, 2).tolist()]
+    windows.append((0.0, 1e-170, float(10.0 ** rng.uniform(-169.0, -150.0)), 40))
+    return windows + [(0.0, 1e-170, 1e-160, 2)]
+
+
+@pytest.mark.parametrize("eps, b_min, b_max, n", boundary_sweep_windows())
+def test_sweep_rows_are_the_classify_records(capsys, eps, b_min, b_max, n):
+    argv = ("--epsilon", repr(eps), "--b-min", repr(b_min), "--b-max", repr(b_max), "--n", str(n))
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    want = []
+    for b in np.linspace(b_min, b_max, n).tolist():
+        regime = classify(Params(eps, b))
+        want.append(f"{b!r},{regime.omega_star!r},{regime.defect_penalty}")
+    assert out.splitlines()[1:-1] == want
+
+
+@pytest.mark.parametrize("argv, first_row", [
+    (("--epsilon", "0.9", "--b-min", "0.9486832980505138", "--b-max", "1", "--n", "2"),
+     "0.9486832980505138,0.0,0"),
+    (("--epsilon", "0", "--b-min", "1e-170", "--b-max", "1e-160", "--n", "2"), "1e-170,-0.0,0"),
+])
+def test_sweep_boundary_row_reads_the_classify_rate(capsys, argv, first_row):
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    assert out.splitlines()[1] == first_row
+
+
 def reference_classify_output(eps: float, b: float) -> tuple[int, str, str]:
     """The classify record, line by line from the public functions."""
     try:
@@ -381,6 +440,7 @@ def classify_points() -> list[tuple[float, float]]:
     for eps in (0.0, 0.25, 0.5, 0.81, 1.0, 2.0):
         points += [(eps, math.sqrt(eps) or 1e-3), (eps, (1.0 + eps) / 2.0)]
     points += [(1.0, 1.0), (5.0, 3.0), (3.0, math.sqrt(3.0)), (0.5, 1e100), (1e155, 1.0)]
+    points += [(0.0, 1e-170), (0.0, 5e-324), (0.9, math.sqrt(0.9))]
     return points + [(-1.0, 1.0)]  # rejected: usage error
 
 
