@@ -5,7 +5,8 @@ or more parameter sets.  Rendering is out of scope; the writer emits a
 CSV with header ``t,u,x,v,y,E`` (one block per parameter set, separated
 by a blank line, 17-digit shortest round-trip floats) and a small
 renderer-agnostic ``.plot`` script that references the CSV columns by
-name only.
+name only.  Both files go where the spec's output stem says, in
+directories created as needed.
 
 The built-in specs fig1..fig9 cover: the three energy regimes at
 eps = 1 (fig1), the periodic phase portrait at b = sqrt(q + 1/q - 1)
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 ENERGY_OVERFLOW = 1e100
+_SAMPLES = 1200  # equal steps per block
 
 # figure id: (plot kind, epsilon, couplings b, initial state, time window).
 # Plot kinds are "energy", "portrait" and "asymptotic".  fig2's coupling
@@ -63,15 +65,14 @@ FIGURE_IDS = tuple(_CATALOGUE)
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One figure: parameter sets, shared initial state, time window;
-    empty ``labels`` become ``epsilon=<eps> b=<b>`` per parameter set."""
+    """One figure: parameter sets, shared initial state, time window, and
+    the output stem, a path without suffix (``<stem>.csv``, ``<stem>.plot``)."""
 
     figure_id: str
     params: tuple[Params, ...]
     z0: State
     t_end: float
     output_stem: str
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.figure_id not in FIGURE_IDS:
@@ -81,13 +82,13 @@ class FigureSpec:
             raise ValueError(
                 f"{self.figure_id} requires {want} parameter set(s), got {len(self.params)}"
             )
-        if self.labels and len(self.labels) != len(self.params):
-            raise ValueError("labels must match parameter sets one-to-one")
-        if not self.labels:
-            labels = tuple(f"epsilon={p.epsilon:g} b={p.b:g}" for p in self.params)
-            object.__setattr__(self, "labels", labels)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """``epsilon=<eps> b=<b>`` for each parameter set."""
+        return tuple(f"epsilon={p.epsilon:g} b={p.b:g}" for p in self.params)
 
     @property
     def portrait(self) -> bool:
@@ -128,7 +129,7 @@ def default_figure_spec(
     )
 
 
-def _block_trajectory(p: Params, spec: FigureSpec, samples: int) -> tuple[Trajectory, bool]:
+def _block_trajectory(p: Params, spec: FigureSpec) -> tuple[Trajectory, bool]:
     """Integrate one block, an ExpBlowup one only until its energy would
     overflow at the rate omega* (never if that rate underflows to 0)."""
     regime = classify(p)
@@ -139,26 +140,23 @@ def _block_trajectory(p: Params, spec: FigureSpec, samples: int) -> tuple[Trajec
         t_over = max(0.0, growth / (2.0 * regime.omega_star))
         truncated = t_over < t_end
         t_end = min(t_end, 1.02 * t_over + 1.0)
-    return integrate(p, spec.z0, t_end, samples=samples), truncated
+    return integrate(p, spec.z0, t_end, samples=_SAMPLES), truncated
 
 
-def write_figure(
-    spec: FigureSpec,
-    samples: int = 1200,
-    directory: str | Path = ".",
-) -> tuple[Path, Path]:
+def write_figure(spec: FigureSpec) -> tuple[Path, Path]:
     """Write ``<stem>.csv`` and ``<stem>.plot`` for a figure spec.
 
-    Deterministic: the same spec produces byte-identical files.  Floats
-    are printed with shortest round-trip precision, so re-parsing the
-    CSV reproduces the computed trajectory exactly.  A block is truncated
-    where E passes 1e100 and a note row is inserted; an ExpBlowup block
+    The stem's parent directory is created if it is missing.  Each block
+    is sampled on ``_SAMPLES`` = 1200 equal steps.  Deterministic: the
+    same spec produces byte-identical files.  Floats are printed with
+    shortest round-trip precision, so re-parsing the CSV reproduces the
+    computed trajectory exactly.  A block is truncated where E passes
+    1e100 and a note row is inserted; an ExpBlowup block
     (:func:`classify`) is integrated only to about that point.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / f"{spec.output_stem}.csv"
-    plot_path = directory / f"{spec.output_stem}.plot"
+    csv_path = Path(f"{spec.output_stem}.csv")
+    plot_path = Path(f"{spec.output_stem}.plot")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     header = "t,u,x,v,y,E"
     if spec.with_asymptotic:
@@ -166,11 +164,11 @@ def write_figure(
 
     lines = [header]
     z0 = spec.z0.as_array()
-    for k, p in enumerate(spec.params):
+    for k, (p, label) in enumerate(zip(spec.params, spec.labels)):
         if k > 0:
             lines.append("")
-        lines.append(f"# block {k}: {spec.labels[k]}")
-        traj, truncated = _block_trajectory(p, spec, samples)
+        lines.append(f"# block {k}: {label}")
+        traj, truncated = _block_trajectory(p, spec)
         over = np.flatnonzero(traj.energies > ENERGY_OVERFLOW)
         n = over[0] if over.size else traj.times.size
         truncated |= over.size > 0
@@ -194,18 +192,17 @@ def _plot_script(spec: FigureSpec, csv_name: str) -> str:
         "# blocks are blank-line separated; '#' lines are comments",
         f"data {csv_name}",
     ]
+    labels = spec.labels
     if spec.portrait:
         out += ["xlabel u", "ylabel du/dt", "aspect equal"]
-        for k in range(len(spec.params)):
-            out.append(f'curve block={k} x=u y=x label="{spec.labels[k]}"')
+        out += [f'curve block={k} x=u y=x label="{label}"' for k, label in enumerate(labels)]
     elif spec.with_asymptotic:
         out += ["xlabel t", "ylabel u, v"]
         for name in ("u", "u_asym", "v", "v_asym"):
-            out.append(f'curve block=0 x=t y={name} label="{name} ({spec.labels[0]})"')
+            out.append(f'curve block=0 x=t y={name} label="{name} ({labels[0]})"')
     else:
         out += ["xlabel t", "ylabel E"]
-        for k in range(len(spec.params)):
-            out.append(f'curve block={k} x=t y=E label="{spec.labels[k]}"')
+        out += [f'curve block={k} x=t y=E label="{label}"' for k, label in enumerate(labels)]
     return "\n".join(out) + "\n"
 
 

@@ -16,6 +16,10 @@ still b = (1+eps)/2, but the achievable rate degrades when the first
 operator eigenvalue is small: the full rate (1-eps)/4 is recovered
 exactly when mu >= (1-eps)^2/16.
 
+A :class:`ModeFamily` is its eigenvalues: :func:`dirichlet_modes` gives
+those of the Dirichlet Laplacian on [0, 1], and :func:`load_mode_family`
+reads them from a file.
+
 The quartic is palindromic in lam/sqrt(mu), so growth bounds come from
 the closed forms of :func:`oscpair.spectrum.palindromic_roots`, exact
 even at the quadruple root (eps-1)/4 on the threshold with
@@ -65,30 +69,27 @@ class ModeFamily:
     """
 
     mu: tuple[float, ...]
-    label: str = ""
 
-    def __init__(self, mu: Iterable[float], label: str = "") -> None:
+    def __init__(self, mu: Iterable[float]) -> None:
         values = np.unique(np.fromiter(mu, float))
         if not values.size:
             raise ValueError("mode family must contain at least one eigenvalue")
         if values[0] <= 0.0 or not np.isfinite(values).all():
             raise ValueError("operator eigenvalues must be finite and > 0")
         object.__setattr__(self, "mu", tuple(values.tolist()))
-        object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:
         return len(self.mu)
 
 
-def dirichlet_modes(count: int, length: float = 1.0, label: str = "") -> ModeFamily:
-    """First ``count`` Dirichlet Laplacian eigenvalues (k*pi/length)^2."""
+def dirichlet_modes(count: int) -> ModeFamily:
+    """First ``count`` Dirichlet Laplacian eigenvalues (k*pi)^2 on [0, 1]."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    mu = [(k * math.pi / length) ** 2 for k in range(1, count + 1)]
-    return ModeFamily(mu, label=label or f"dirichlet[{count}] L={length:g}")
+    return ModeFamily((k * math.pi) ** 2 for k in range(1, count + 1))
 
 
-def load_mode_family(path: str | Path, label: str = "") -> ModeFamily:
+def load_mode_family(path: str | Path) -> ModeFamily:
     """Read a mode family from a text file: one positive real per line.
 
     Blank lines are skipped and ``#`` starts a comment (full-line or
@@ -100,7 +101,7 @@ def load_mode_family(path: str | Path, label: str = "") -> ModeFamily:
         if not line:
             continue
         values.append(float(line))
-    return ModeFamily(values, label=label or str(path))
+    return ModeFamily(values)
 
 
 def mode_matrix(mu: float, p: Params) -> np.ndarray:

@@ -61,6 +61,7 @@ _CORNER_CAP = 100.0
 # largest |dE - z^T W z| / (1 + E) on one step of integrate
 _DRIFT_CAP = 1e-6
 _MAX_RMS = 1.0  # largest rms residual of norm_growth_fit's trend
+_FIT_SAMPLES = 400  # norm_growth_fit's sample times
 # periodic_portrait_check: relative frequency-ratio tolerance, times the
 # ratio's condition number, largest recurrence gap |z(T) - z0|, and the
 # end of the aperiodic scan
@@ -335,17 +336,14 @@ def _trend_lstsq(design: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, floa
     return coef, rms
 
 
-def norm_growth_fit(
-    p: Params,
-    t_max: float | None = None,
-    samples: int = 400,
-) -> FitResult:
+def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     """Fit log ||S(t)|| ~ log C + d*log(1+t) + w*t over [t_max/2, t_max].
 
     Measures the exponential rate w and the polynomial correction degree
-    d of the propagator norm.  The fit window starts at t_max/2 to
-    suppress transients.  When ``t_max`` is omitted it is 60 if
-    :func:`classify` gives ExpBlowup (overflow guard) and 200 otherwise.
+    d of the propagator norm at ``_FIT_SAMPLES`` = 400 equally spaced
+    times.  The fit window starts at t_max/2 to suppress transients.
+    When ``t_max`` is omitted it is 60 if :func:`classify` gives
+    ExpBlowup (overflow guard) and 200 otherwise.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
     come from one :func:`operator_norm` call on the stack.
@@ -357,22 +355,19 @@ def norm_growth_fit(
     the envelope touch points recur at a common phase, so they lie
     exactly on the trend and carry no oscillation bias.
 
-    Raises ValueError unless ``samples >= 4`` (one more than the trend
-    has coefficients) and ``t_max`` is finite and > 0, and FitError if a
-    sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
+    Raises ValueError unless ``t_max`` is finite and > 0, and FitError if
+    a sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
     """
-    if samples < 4:
-        raise ValueError(f"norm-growth fit needs samples >= 4, got {samples}")
     if t_max is None:
         t_max = 60.0 if classify(p).kind is RegimeKind.EXP_BLOWUP else 200.0
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     m = assemble_matrix(p)
-    ts, dt = np.linspace(t_max / 2.0, t_max, samples, retstep=True)
+    ts, dt = np.linspace(t_max / 2.0, t_max, _FIT_SAMPLES, retstep=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _march(expm(dt * m), expm(ts[0] * m), samples - 1)
+        stack = _march(expm(dt * m), expm(ts[0] * m), _FIT_SAMPLES - 1)
     finite = np.isfinite(stack).all(axis=(1, 2))
-    norms = np.full(samples, math.inf)
+    norms = np.full(_FIT_SAMPLES, math.inf)
     norms[finite] = operator_norm(stack[finite])
     over = np.flatnonzero(norms > _NORM_OVERFLOW)
     if over.size:

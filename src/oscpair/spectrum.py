@@ -229,7 +229,10 @@ class Spectrum:
 
     @property
     def omega_star(self) -> float:
-        return max(lam.real for lam in self.eigenvalues)
+        """The raw abscissa, the max real part, bit-equal to :func:`growth_bound`;
+        :func:`classify` and ``oscpair sweep`` snap it on boundaries and keep
+        the sign of an underflowed decay rate."""
+        return float(np.array(self.eigenvalues).real.max())
 
     def dominant_defect(self) -> int:
         """Defect of the eigenvalue of largest real part (:func:`dominant_defects`)."""

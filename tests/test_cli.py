@@ -133,6 +133,15 @@ def test_figure_command_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "f9.plot").exists()
 
 
+def test_figure_creates_the_missing_directories_of_its_stem(tmp_path, capsys):
+    stem = tmp_path / "new" / "sub" / "f8"
+    code, out, err = run_cli(capsys, "figure", "fig8", "--out", str(stem))
+    assert code == 0, err
+    assert out == f"wrote {stem}.csv\nwrote {stem}.plot\n"
+    assert parse_figure_csv(f"{stem}.csv")[0]["t"].size == 1201
+    assert (tmp_path / "new" / "sub" / "f8.plot").read_text().startswith("# plot script for f8.csv")
+
+
 def test_fig2_window_is_the_period_at_large_q(tmp_path, capsys):
     stem = tmp_path / "f2"
     code, _, _ = run_cli(capsys, "figure", "fig2", "--q", "10000", "--out", str(stem))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oscpair.core import Params, State
 from oscpair.figures import (
+    _SAMPLES,
     FIGURE_IDS,
     FigureSpec,
     _block_trajectory,
@@ -25,13 +27,11 @@ def test_all_default_specs_build():
 
 def test_spec_without_labels_gets_the_default_labels(tmp_path):
     spec = default_figure_spec("fig7")
-    bare = FigureSpec(spec.figure_id, spec.params, spec.z0, spec.t_end, "bare")
+    bare = FigureSpec(spec.figure_id, spec.params, spec.z0, spec.t_end, str(tmp_path / "bare"))
     assert bare.labels == spec.labels == (
         "epsilon=0.5 b=0.35", "epsilon=0.5 b=0.707107", "epsilon=0.5 b=1.5"
     )
-    named = FigureSpec(spec.figure_id, spec.params, spec.z0, spec.t_end, "named", ("a", "b", "c"))
-    assert named.labels == ("a", "b", "c")
-    csv_path, plot_path = write_figure(bare, samples=40, directory=tmp_path)
+    csv_path, plot_path = write_figure(bare)
     assert "# block 1: epsilon=0.5 b=0.707107\n" in csv_path.read_text()
     assert 'label="epsilon=0.5 b=1.5"' in plot_path.read_text()
 
@@ -123,23 +123,23 @@ def test_spec_validation():
 
 
 def test_figure_output_is_deterministic(tmp_path):
-    spec = default_figure_spec("fig8", output_stem="first")
-    csv1, plot1 = write_figure(spec, samples=200, directory=tmp_path)
-    again = default_figure_spec("fig8", output_stem="second")
-    csv2, plot2 = write_figure(again, samples=200, directory=tmp_path)
+    spec = default_figure_spec("fig8", output_stem=str(tmp_path / "first"))
+    csv1, plot1 = write_figure(spec)
+    again = default_figure_spec("fig8", output_stem=str(tmp_path / "second"))
+    csv2, plot2 = write_figure(again)
     assert csv1.read_bytes() == csv2.read_bytes()
     assert plot1.read_text() == plot2.read_text().replace("second.csv", "first.csv")
 
 
 def test_figure_csv_round_trips_exactly(tmp_path):
-    spec = default_figure_spec("fig7", output_stem="f7")
-    csv_path, _ = write_figure(spec, samples=150, directory=tmp_path)
+    spec = default_figure_spec("fig7", output_stem=str(tmp_path / "f7"))
+    csv_path, _ = write_figure(spec)
     blocks = parse_figure_csv(csv_path)
     assert len(blocks) == 3
     from oscpair.sim import integrate
 
     for block, p in zip(blocks, spec.params):
-        traj = integrate(p, spec.z0, spec.t_end, samples=150)
+        traj = integrate(p, spec.z0, spec.t_end, samples=_SAMPLES)
         # shortest round-trip floats reparse bit-exactly
         assert np.array_equal(block["t"], traj.times)
         assert np.array_equal(block["u"], traj.states[:, 0])
@@ -147,18 +147,14 @@ def test_figure_csv_round_trips_exactly(tmp_path):
 
 
 def test_figure_energy_matches_state_columns(tmp_path):
-    csv_path, _ = write_figure(
-        default_figure_spec("fig1", output_stem="f1"), samples=120, directory=tmp_path
-    )
+    csv_path, _ = write_figure(default_figure_spec("fig1", output_stem=str(tmp_path / "f1")))
     for block in parse_figure_csv(csv_path):
         e = 0.5 * (block["u"] ** 2 + block["x"] ** 2 + block["v"] ** 2 + block["y"] ** 2)
         np.testing.assert_array_equal(e, block["E"])
 
 
 def test_fig1_blocks_show_the_three_energy_behaviors(tmp_path):
-    csv_path, _ = write_figure(
-        default_figure_spec("fig1", output_stem="f1q"), samples=600, directory=tmp_path
-    )
+    csv_path, _ = write_figure(default_figure_spec("fig1", output_stem=str(tmp_path / "f1q")))
     growing, critical, bounded = parse_figure_csv(csv_path)
     # b < 1: exponential growth
     assert growing["E"][-1] > 1e6
@@ -171,9 +167,8 @@ def test_fig1_blocks_show_the_three_energy_behaviors(tmp_path):
 
 
 def test_asymptotic_columns_present_and_accurate(tmp_path):
-    csv_path, plot_path = write_figure(
-        default_figure_spec("fig6", output_stem="f6"), samples=300, directory=tmp_path
-    )
+    spec = default_figure_spec("fig6", output_stem=str(tmp_path / "f6"))
+    csv_path, plot_path = write_figure(spec)
     block = parse_figure_csv(csv_path)[0]
     assert "u_asym" in block and "v_asym" in block
     # at b = 20 the asymptotic displacement tracks the true one closely
@@ -187,9 +182,9 @@ def test_blowup_series_truncated_with_note(tmp_path):
         params=(Params(2.0, 1.0),),
         z0=State(1, 0, 0, 0),
         t_end=300.0,
-        output_stem="boom",
+        output_stem=str(tmp_path / "boom"),
     )
-    csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)
+    csv_path, _ = write_figure(spec)
     text = csv_path.read_text()
     assert "# truncated: E > 1e+100" in text
     block = parse_figure_csv(csv_path)[0]
@@ -208,15 +203,15 @@ def test_blowup_series_truncated_with_note(tmp_path):
 )
 def test_only_exp_blowup_blocks_are_truncated(tmp_path, p):
     blowup = Params(1.5, 1.25)  # b = (1+eps)/2 with eps > 1: omega* = 1/8
-    spec = FigureSpec("fig1", (p, blowup, p), State(1, 0, 0, 0), 1000.0, "mixed")
-    csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)
+    spec = FigureSpec("fig1", (p, blowup, p), State(1, 0, 0, 0), 1000.0, str(tmp_path / "mixed"))
+    csv_path, _ = write_figure(spec)
     lines = csv_path.read_text().splitlines()
     notes = [k for k, line in enumerate(lines) if line.startswith("# truncated")]
     assert len(notes) == 1
     assert lines.index("# block 1: epsilon=1.5 b=1.25") < notes[0] < lines.index(
         f"# block 2: {spec.labels[2]}"
     )
-    assert [_block_trajectory(q, spec, 50)[1] for q in spec.params] == [False, True, False]
+    assert [_block_trajectory(q, spec)[1] for q in spec.params] == [False, True, False]
 
 
 def test_blowup_rate_underflowing_to_zero_is_not_truncated():
@@ -224,15 +219,13 @@ def test_blowup_rate_underflowing_to_zero_is_not_truncated():
     p = Params(1e-320, 9.99994433565849e-161)
     assert classify(p) == Regime(RegimeKind.EXP_BLOWUP, 0.0, 0)
     spec = FigureSpec("fig9", (p,), State(1, 0, 0, 0), 50.0, "tiny")
-    traj, truncated = _block_trajectory(p, spec, 50)
+    traj, truncated = _block_trajectory(p, spec)
     assert not truncated and traj.times[-1] == 50.0
 
 
 def test_portrait_block_closes_for_periodic_coupling(tmp_path):
     csv_path, plot_path = write_figure(
-        default_figure_spec("fig2", q=4.0, output_stem="f2"),
-        samples=600,
-        directory=tmp_path,
+        default_figure_spec("fig2", q=4.0, output_stem=str(tmp_path / "f2"))
     )
     block = parse_figure_csv(csv_path)[0]
     gap = math.hypot(
@@ -243,7 +236,7 @@ def test_portrait_block_closes_for_periodic_coupling(tmp_path):
     assert "x=u y=x" in plot_path.read_text()
 
 
-def row_by_row_csv(spec, samples):
+def row_by_row_csv(spec):
     """The figure CSV built one sample at a time, with scalar calls only."""
     header = "t,u,x,v,y,E" + (",u_asym,v_asym" if spec.with_asymptotic else "")
     lines = [header]
@@ -252,7 +245,7 @@ def row_by_row_csv(spec, samples):
         if k > 0:
             lines.append("")
         lines.append(f"# block {k}: epsilon={p.epsilon:g} b={p.b:g}")
-        traj, truncated = _block_trajectory(p, spec, samples)
+        traj, truncated = _block_trajectory(p, spec)
         for t, state, e in zip(traj.times, traj.states, traj.energies):
             if e > 1e100:
                 truncated = True
@@ -282,5 +275,6 @@ MORE_DEFAULTS = ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9")
     ids=["fig5", "fig5-z0", "fig1", "truncated", *MORE_DEFAULTS],
 )
 def test_csv_equals_row_by_row_reference(tmp_path, spec):
-    csv_path, _ = write_figure(spec, samples=400, directory=tmp_path)
-    assert csv_path.read_text() == row_by_row_csv(spec, 400)
+    stem = str(tmp_path / spec.output_stem)
+    csv_path, _ = write_figure(dataclasses.replace(spec, output_stem=stem))
+    assert csv_path.read_text() == row_by_row_csv(spec)

@@ -195,7 +195,6 @@ def test_load_mode_family_from_text(tmp_path):
     f = load_mode_family(path)
     assert len(f) == 3
     assert f.mu[0] == pytest.approx(math.pi**2)
-    assert f.label == str(path)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def test_norm_growth_fit_takes_its_norms_from_one_operator_norm_call(monkeypatch
         return inner(m)
 
     monkeypatch.setattr(sim, "operator_norm", counting)
-    norm_growth_fit(Params(0.5, 0.75), samples=50)
-    assert shapes == [(50, 4, 4)]
+    norm_growth_fit(Params(0.5, 0.75))
+    assert shapes == [(sim._FIT_SAMPLES, 4, 4)]
 
 
 def test_norm_growth_fit_reports_an_all_overflowing_grid_as_fit_error():
@@ -690,7 +690,8 @@ def test_norm_growth_fit_aborts_on_overflow():
 
 @pytest.mark.parametrize("samples", [0, 1, 2, 3])
 def test_norm_growth_fit_rejects_too_few_samples(samples):
-    with pytest.raises(ValueError, match="samples >= 4"):
+    # the sample count is fixed at _FIT_SAMPLES: every value of the keyword is refused
+    with pytest.raises(TypeError, match="unexpected keyword argument 'samples'"):
         norm_growth_fit(Params(0.5, 0.75), samples=samples)
 
 

@@ -1,14 +1,26 @@
-"""Static checks on the package source, standing in for a linter."""
+"""Static checks on the package source, standing in for a linter, and the
+options they keep out of the public API."""
 
 import argparse
 import ast
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 import oscpair
-from oscpair import cli
+from oscpair import (
+    FigureSpec,
+    ModeFamily,
+    Params,
+    cli,
+    default_figure_spec,
+    dirichlet_modes,
+    load_mode_family,
+    norm_growth_fit,
+    write_figure,
+)
 
 SOURCES = sorted(Path(oscpair.__file__).parent.glob("*.py"))
 
@@ -144,6 +156,112 @@ def test_dead_private_name_check_flags_only_unreferenced_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of public top-level functions and classes that no
+    call in ``sources`` passes, by keyword or by position, as ``module.name(param)``.
+
+    A class's parameters are those of its ``__init__``, or else its annotated
+    fields (a dataclass or NamedTuple).  A call is matched by the callee's name,
+    plain or as an attribute; ``*args`` passes every position, ``**kwargs``
+    every keyword.
+    """
+    defaulted, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                args, skip = node.args, 0
+            else:
+                inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                if not inits:
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                    defaulted += [
+                        (module, node.name, f.target.id, k)
+                        for k, f in enumerate(fields) if f.value is not None
+                    ]
+                    continue
+                args, skip = inits[0].args, 1  # self
+            positional = (args.posonlyargs + args.args)[skip:]
+            first = len(positional) - len(args.defaults)
+            defaulted += [(module, node.name, a.arg, k) for k, a in enumerate(positional) if k >= first]
+            defaulted += [
+                (module, node.name, a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if star else len(node.args), keywords)
+                )
+    return sorted(
+        f"{module}.{name}({param})" for module, name, param, index in defaulted
+        if not any(
+            (index is not None and index < npos) or param in keywords or None in keywords
+            for npos, keywords in calls.get(name, [])
+        )
+    )
+
+
+def test_unpassed_default_check_flags_only_unpassed_parameters():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n    pass\n"
+            "def _g(x=1):\n    pass\n"
+            "def h(w=3):\n    pass\n"
+            "def k(v=4):\n    pass\n"
+            "class C:\n    def __init__(self, a, b=0):\n        pass\n"
+            "class D:\n    p: int\n    q: int = 0\n    r: int = 1\n"
+        ),
+        "b": "f(1, 2)\nC(1)\nm.D(1, 2)\nD(1, r=2)\nh(*args)\nk(**options)\n",
+    }
+    assert unpassed_defaults(sources) == ["a.C(b)", "a.f(z)"]
+
+
+# each defaulted public parameter that no call in the package sets, and why it stays
+UNPASSED_DEFAULTS = {
+    "sim.norm_growth_fit(t_max)": "the caller's horizon; the default is the regime rule",
+    "spectrum.root_defects(mu)": "per-mode defects, for the per-mode verdicts of ROADMAP item 7",
+    "acceptance.run_all(emit)": "where the PASS/FAIL lines go, a seam for tests",
+    "cli.main(argv)": "the entry point, given the process arguments by default",
+}
+
+
+def test_every_defaulted_public_parameter_is_passed_in_the_package():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unpassed_defaults(sources) == sorted(UNPASSED_DEFAULTS)
+
+
+FIG7 = default_figure_spec("fig7", output_stem="unwritten")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: write_figure(FIG7, samples=40), id="write_figure-samples"),
+        pytest.param(lambda: write_figure(FIG7, directory="."), id="write_figure-directory"),
+        pytest.param(
+            lambda: FigureSpec("fig7", FIG7.params, FIG7.z0, 1.0, "x", labels=("a", "b", "c")),
+            id="FigureSpec-labels",
+        ),
+        pytest.param(
+            lambda: norm_growth_fit(Params(0.5, 0.75), samples=50), id="norm_growth_fit-samples"
+        ),
+        pytest.param(lambda: ModeFamily([1.0], label="x"), id="ModeFamily-label"),
+        pytest.param(lambda: dirichlet_modes(3, length=2.0), id="dirichlet_modes-length"),
+        pytest.param(lambda: dirichlet_modes(3, label="x"), id="dirichlet_modes-label"),
+        pytest.param(lambda: load_mode_family("unread.txt", label="x"), id="load_mode_family-label"),
+    ],
+)
+def test_options_no_caller_set_are_gone(call):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        call()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

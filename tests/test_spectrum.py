@@ -660,6 +660,24 @@ def test_tiny_coupling_decay_bound_underflows_to_negative_zero(b):
     assert math.copysign(1.0, growth_bound(p)) == 1.0
 
 
+def spectrum_omega_star_grid():
+    rng = np.random.default_rng(18)
+    points = [(0.0, 1.8747515304009144e-162), (0.0, 2.326724216981764e-162)]
+    points += [(0.0, float(b)) for b in 10.0 ** rng.uniform(-320.0, -150.0, 500)]
+    points += [(float(e), math.sqrt(e)) for e in rng.uniform(0.0, 1.0, 100)]
+    points += [(float(e), (1.0 + e) / 2.0) for e in rng.uniform(0.0, 1.0, 100)]
+    points += [(1.0, float(b)) for b in 10.0 ** rng.uniform(-3.0, 3.0, 100)]
+    eps, b = rng.uniform(0.0, 2.0, 500), 10.0 ** rng.uniform(-3.0, 300.0, 500)
+    return points + list(zip(eps.tolist(), b.tolist()))
+
+
+def test_spectrum_omega_star_is_bit_equal_to_growth_bound():
+    # the first two points gave +0.0 from a Python max where growth_bound gives -0.0
+    for eps, b in spectrum_omega_star_grid():
+        p = Params(eps, b)
+        assert closed_form_eigenvalues(p).omega_star.hex() == growth_bound(p).hex(), (eps, b)
+
+
 @pytest.mark.parametrize(
     "call",
     [
