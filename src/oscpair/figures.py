@@ -23,6 +23,7 @@ and everything else about a figure id is read from it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +67,9 @@ FIGURE_IDS = tuple(_CATALOGUE)
 @dataclass(frozen=True)
 class FigureSpec:
     """One figure: parameter sets, shared initial state, time window, and
-    the output stem, a path without suffix (``<stem>.csv``, ``<stem>.plot``)."""
+    the output stem, a path without suffix (``<stem>.csv``, ``<stem>.plot``)
+    whose last component names the files: a stem that is empty, ends in a
+    path separator or ends in "." or ".." is rejected."""
 
     figure_id: str
     params: tuple[Params, ...]
@@ -84,6 +87,8 @@ class FigureSpec:
             )
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        if os.path.basename(self.output_stem) in ("", ".", ".."):
+            raise ValueError(f"output stem must end in a file name, got {self.output_stem!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -21,7 +21,9 @@ E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  A step that misses it by
 Every matrix exponential goes through the module name ``expm``, which
 imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
 numpy and the standard library only, so the spectral entry points never
-pay for scipy.
+pay for scipy.  Only :func:`propagator`, :func:`integrate` and
+:func:`norm_growth_fit` call it; the periodicity check reads its
+recurrence gap from the first and its scan from the second.
 """
 
 from __future__ import annotations
@@ -121,13 +123,6 @@ class Trajectory:
     states: np.ndarray
     energies: np.ndarray
     dissipated: np.ndarray
-
-    def state(self, k: int) -> State:
-        return State.from_array(self.states[k])
-
-    @property
-    def final_state(self) -> State:
-        return self.state(-1)
 
 
 def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
@@ -350,10 +345,12 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
 
     When the dominant eigenvalues are regular and complex, the norm
     oscillates periodically around its envelope and a plain least-squares
-    fit leaks the oscillation into the trend columns.  In that case the
-    fit is repeated through the local maxima of the detrended signal:
-    the envelope touch points recur at a common phase, so they lie
-    exactly on the trend and carry no oscillation bias.
+    fit leaks the oscillation into the trend columns.  So the fit is
+    repeated, up to twice, through the local maxima of the detrended
+    signal whenever there are at least 4: the envelope touch points recur
+    at a common phase, so they lie exactly on the trend and carry no
+    oscillation bias.  A norm without oscillation leaves residuals at
+    rounding level, and its refit stays on the trend.
 
     Raises ValueError unless ``t_max`` is finite and > 0, and FitError if
     a sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
@@ -377,13 +374,12 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
 
     design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])
     coef, rms = _trend_lstsq(design, logs)
-    if rms > 1e-2:
-        for _ in range(2):
-            resid = logs - design @ coef
-            peaks = 1 + np.flatnonzero((resid[1:-1] >= resid[:-2]) & (resid[1:-1] > resid[2:]))
-            if peaks.size < 4:
-                break
-            coef, rms = _trend_lstsq(design[peaks], logs[peaks])
+    for _ in range(2):
+        resid = logs - design @ coef
+        peaks = 1 + np.flatnonzero((resid[1:-1] >= resid[:-2]) & (resid[1:-1] > resid[2:]))
+        if peaks.size < 4:
+            break
+        coef, rms = _trend_lstsq(design[peaks], logs[peaks])
     if rms > _MAX_RMS:
         raise FitError(f"norm-growth fit residual {rms:.3e} exceeds {_MAX_RMS:g}")
     return FitResult(
@@ -409,10 +405,12 @@ def periodic_portrait_check(b: float) -> tuple[bool, float]:
 
     Either verdict is cross-checked against the trajectory z(t) = S(t)z0
     with z0 = (1,0,0,0): a periodic verdict must recur to within
-    ``_RECURRENCE_TOL`` = 1e-6 at T, an aperiodic one must not recur
-    anywhere on a uniform grid over [0.5, ``_SCAN_T_MAX``] = [0.5, 200],
-    stepped exactly by S(dt).  Violations, and a non-finite gap or orbit,
-    raise IntegrationError, and ValueError unless b > 1 is finite.
+    ``_RECURRENCE_TOL`` = 1e-6 at T, with S(T) from :func:`propagator`;
+    an aperiodic one must not recur at any t >= 0.5 on the 1,024 steps of
+    :func:`integrate` over [0, ``_SCAN_T_MAX``] = [0, 200].  Violations,
+    and the errors of either engine (a NaN or overflowing S(T), a scan
+    that fails its energy balance), raise IntegrationError; ValueError
+    unless b > 1 is finite.
     """
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"periodicity check requires finite b > 1, got {b}")
@@ -422,25 +420,18 @@ def periodic_portrait_check(b: float) -> tuple[bool, float]:
     frac = Fraction(ratio).limit_denominator(10_000)
     is_periodic = abs(ratio - float(frac)) <= _RATIO_TOL * cond * ratio
 
-    m = assemble_matrix(Params(1.0, b))
     z0 = np.array([1.0, 0.0, 0.0, 0.0])
     if is_periodic:
         period = 2.0 * math.pi * frac.denominator * w_plus
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = float(np.linalg.norm(expm(period * m) @ z0 - z0))
+        gap = float(np.linalg.norm(propagator(Params(1.0, b), period).matrix @ z0 - z0))
         if not gap <= _RECURRENCE_TOL:
             raise IntegrationError(
                 f"predicted period {period:g} fails recurrence: gap {gap:.3e}"
             )
         return True, period
-    ts, dt = np.linspace(0.5, _SCAN_T_MAX, 1024, retstep=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        orbit = _march(expm(dt * m), expm(ts[0] * m) @ z0, len(ts) - 1)
-    if not np.isfinite(orbit).all():
-        raise IntegrationError(f"aperiodic orbit is not finite at b={b:g}")
-    hits = np.flatnonzero(np.linalg.norm(orbit - z0, axis=1) <= _RECURRENCE_TOL)
+    scan = integrate(Params(1.0, b), State(1.0, 0.0, 0.0, 0.0), _SCAN_T_MAX, samples=1024)
+    gaps = np.linalg.norm(scan.states - z0, axis=1)
+    hits = scan.times[(scan.times >= 0.5) & (gaps <= _RECURRENCE_TOL)]
     if hits.size:
-        raise IntegrationError(
-            f"aperiodic verdict contradicted by recurrence at t={ts[hits[0]]:g}"
-        )
+        raise IntegrationError(f"aperiodic verdict contradicted by recurrence at t={hits[0]:g}")
     return False, math.nan

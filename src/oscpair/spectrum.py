@@ -234,10 +234,6 @@ class Spectrum:
         the sign of an underflowed decay rate."""
         return float(np.array(self.eigenvalues).real.max())
 
-    def dominant_defect(self) -> int:
-        """Defect of the eigenvalue of largest real part (:func:`dominant_defects`)."""
-        return int(dominant_defects(np.array(self.eigenvalues), np.array(self.defects)))
-
 
 def closed_form_eigenvalues(p: Params) -> Spectrum:
     """Eigenvalues lam1..lam4 from the closed-form expressions.

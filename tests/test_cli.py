@@ -142,6 +142,22 @@ def test_figure_creates_the_missing_directories_of_its_stem(tmp_path, capsys):
     assert (tmp_path / "new" / "sub" / "f8.plot").read_text().startswith("# plot script for f8.csv")
 
 
+def test_figure_stem_naming_a_directory_is_a_usage_error(tmp_path, capsys):
+    # a stem ending in "/" names no file: it would write runs/.csv and runs/.plot
+    stem = f"{tmp_path}/runs/"
+    code, out, err = run_cli(capsys, "figure", "fig8", "--out", stem)
+    assert code == 1
+    assert out == "" and err == f"error: output stem must end in a file name, got {stem!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("z0", ["1,2,3", "1,2,x,4"])
+def test_figure_rejects_a_malformed_start(tmp_path, capsys, z0):
+    code, _, err = run_cli(capsys, "figure", "fig8", f"--z0={z0}", "--out", str(tmp_path / "f8"))
+    assert code == 1 and err.startswith("usage error")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fig2_window_is_the_period_at_large_q(tmp_path, capsys):
     stem = tmp_path / "f2"
     code, _, _ = run_cli(capsys, "figure", "fig2", "--q", "10000", "--out", str(stem))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,27 @@ def test_spec_validation():
         FigureSpec("fig1", (Params(1.0, 2.0),), State(1, 0, 0, 0), 1.0, "x")
     with pytest.raises(ValueError):
         default_figure_spec("fig2", q=1.0)
+
+
+FIG8 = default_figure_spec("fig8")
+
+
+def test_spec_rejects_an_unknown_figure_id():
+    with pytest.raises(ValueError, match="unknown figure id 'fig10'"):
+        FigureSpec("fig10", FIG8.params, FIG8.z0, 1.0, "x")
+
+
+@pytest.mark.parametrize("t_end", [0.0, math.inf, math.nan])
+def test_spec_rejects_a_window_that_is_not_finite_and_positive(t_end):
+    with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+        FigureSpec("fig8", FIG8.params, FIG8.z0, t_end, "x")
+
+
+@pytest.mark.parametrize("stem", ["", "runs/", "a/b/", "runs/.", "..", "a/.."])
+def test_spec_rejects_a_stem_without_a_file_name(stem):
+    message = f"output stem must end in a file name, got '{stem}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FigureSpec("fig8", FIG8.params, FIG8.z0, 1.0, stem)
 
 
 def test_figure_output_is_deterministic(tmp_path):

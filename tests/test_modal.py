@@ -57,6 +57,17 @@ def test_mode_growth_bound_reference_values():
     assert mode_growth_bound(0.001, Params(0.5, 0.75)) > -0.125
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf])
+def test_mode_growth_bound_rejects_bad_stiffness(mu):
+    with pytest.raises(ValueError, match="mu must be finite and > 0"):
+        mode_growth_bound(mu, Params(0.5, 0.75))
+
+
+def test_dirichlet_modes_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        dirichlet_modes(0)
+
+
 def test_mode_growth_bound_agrees_with_closed_forms_at_unit_stiffness():
     for p in (Params(0.3, 0.2), Params(1.0, 3.0), Params(2.0, 1.5), Params(0.9, 0.95)):
         assert mode_growth_bound(1.0, p) == pytest.approx(growth_bound(p), abs=1e-9)

@@ -361,6 +361,11 @@ def test_integrate_validates_arguments():
         integrate(p, State(1, 0, 0, 0), -1.0)
 
 
+def test_integrate_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        integrate(Params(1.0, 1.0), State(1, 0, 0, 0), 1.0, samples=0)
+
+
 def test_integrate_consistent_with_propagator_and_energy_balance():
     rng = np.random.default_rng(3)
     tol = 1e-10
@@ -737,16 +742,24 @@ def test_periodicity_verdict_for_generic_coupling_is_not_a_crash():
 
 
 def test_periodicity_nan_recurrence_gap_raises_without_warnings():
-    # expm(T*A) is all NaN at b = 1e150, and a NaN gap used to pass
+    # S(T) is all NaN at b = 1e150, and a NaN gap used to pass; the
+    # recurrence check reads S(T) from propagator, whose guard flags the NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationError, match="fails recurrence: gap nan"):
+        with pytest.raises(IntegrationError, match="exceeds overflow guard"):
             periodic_portrait_check(1e150)
 
 
 def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
     monkeypatch.setattr(sim, "expm", lambda a: np.full_like(a, math.nan))
-    with pytest.raises(IntegrationError, match="not finite"):
+    with pytest.raises(IntegrationError, match="step exponential overflows"):
+        periodic_portrait_check(math.sqrt(2.0))
+
+
+def test_periodicity_aperiodic_verdict_fails_on_a_recurrence_past_half_a_time_unit(monkeypatch):
+    # with every gap within tolerance, the first scan time past 0.5 is 3 * 200/1024
+    monkeypatch.setattr(sim, "_RECURRENCE_TOL", 10.0)
+    with pytest.raises(IntegrationError, match="contradicted by recurrence at t=0.585938$"):
         periodic_portrait_check(math.sqrt(2.0))
 
 
@@ -838,7 +851,7 @@ def test_every_exponential_goes_through_sim_expm(monkeypatch):
         (lambda: integrate(Params(0.5, 1.0), State(1, 1, 1, 1), 1800.0, samples=8), [(8, 8)]),
         (lambda: norm_growth_fit(p), [(4, 4)] * 2),
         (lambda: periodic_portrait_check(math.sqrt(4.0 + 0.25 - 1.0)), [(4, 4)]),
-        (lambda: periodic_portrait_check(math.sqrt(2.0)), [(4, 4)] * 2),
+        (lambda: periodic_portrait_check(math.sqrt(2.0)), [(8, 8)]),
     ]
     for run, shapes in expected:
         calls.clear()

@@ -158,6 +158,46 @@ def test_no_dead_private_names():
     assert dead_private_names({path.stem: path.read_text() for path in SOURCES}) == []
 
 
+def callers(source: str, callee: str) -> list[str]:
+    """Top-level defs and classes whose bodies call ``callee``, by plain name
+    or as an attribute, and ``<module>`` for a call outside all of them."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and callee in (
+                getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
+            ):
+                found.add(owner)
+    return sorted(found)
+
+
+def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
+    source = (
+        "from scipy.linalg import expm\n"
+        "def f(a):\n    return expm(a)\n"
+        "def g(a):\n    def inner():\n        return sim.expm(a)\n    return inner()\n"
+        "def h(a):\n    return self._expm(a), expm, expmx(a)\n"
+        "class C:\n    def m(self, a):\n        return expm(a)\n"
+        "x = expm(0)\n"
+    )
+    assert callers(source, "expm") == ["<module>", "C", "f", "g"]
+
+
+# one exponential path per job: a propagator, a trajectory's Van Loan step, and
+# the fit's step and start; the fit and the trajectory march their own grids
+DESIGNED_CALLERS = {
+    "expm": {"sim": ["integrate", "norm_growth_fit", "propagator"]},
+    "_march": {"sim": ["integrate", "norm_growth_fit"]},
+}
+
+
+@pytest.mark.parametrize("callee", sorted(DESIGNED_CALLERS))
+def test_exponentials_and_marches_run_only_where_designed(callee):
+    found = {path.stem: callers(path.read_text(), callee) for path in SOURCES}
+    assert {module: names for module, names in found.items() if names} == DESIGNED_CALLERS[callee]
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """Defaulted parameters of public top-level functions and classes that no
     call in ``sources`` passes, by keyword or by position, as ``module.name(param)``.

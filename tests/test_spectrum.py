@@ -692,10 +692,6 @@ def test_spectrum_omega_star_is_bit_equal_to_growth_bound():
             id="cluster_tol",
         ),
         pytest.param(
-            lambda: closed_form_eigenvalues(Params(1.0, 1.0)).dominant_defect(tol=1e-9),
-            id="Spectrum.dominant_defect.tol",
-        ),
-        pytest.param(
             lambda: dominant_defects(np.zeros(4), np.zeros(4, dtype=int), tol=1e-9),
             id="dominant_defects.tol",
         ),
