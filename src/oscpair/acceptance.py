@@ -90,8 +90,8 @@ def _criterion_2() -> tuple[bool, str]:
         got = classify(Params(eps, b))
         if got.kind is not want:
             failures.append(f"({eps:g},{b:g}): got {got.kind.value}, want {want.value}")
-        if want is RegimeKind.POLY_BLOWUP and got.degree != 1:
-            failures.append(f"({eps:g},{b:g}): degree {got.degree}, want 1")
+        if want is RegimeKind.POLY_BLOWUP and got.defect_penalty != 1:
+            failures.append(f"({eps:g},{b:g}): degree {got.defect_penalty}, want 1")
     return not failures, "; ".join(failures) if failures else "12/12 points classified"
 
 
@@ -250,7 +250,7 @@ CRITERIA = [
 ]
 
 
-def run_all(numbers: set[int] | None = None, emit: Callable[[str], None] = print) -> bool:
+def run_all(numbers: set[int] | None = None) -> bool:
     """Run the selected criteria (all by default); ValueError on an empty or unknown selection."""
     chosen = [crit for crit in CRITERIA if numbers is None or crit.number in numbers]
     if numbers is not None:
@@ -265,5 +265,5 @@ def run_all(numbers: set[int] | None = None, emit: Callable[[str], None] = print
         except Exception as exc:  # a crashed criterion is a failed criterion
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        emit(f"{'PASS' if ok else 'FAIL'} criterion {crit.number}: {crit.title} [{detail}]")
+        print(f"{'PASS' if ok else 'FAIL'} criterion {crit.number}: {crit.title} [{detail}]")
     return all_ok

@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     p_swp.add_argument("--b-min", type=float, required=True)
     p_swp.add_argument("--b-max", type=float, required=True)
     p_swp.add_argument("--n", type=int, required=True)
-    p_swp.add_argument("--out", default=None, help="CSV file (default: stdout)")
 
     p_mod = sub.add_parser("modes", help="family growth bound for a mode file")
     p_mod.add_argument("--modes-file", required=True)
@@ -103,7 +102,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         f"defect={regime.defect_penalty}",
     ]
     if regime.kind is RegimeKind.POLY_BLOWUP:
-        lines.append(f"degree={regime.degree}")
+        lines.append(f"degree={regime.defect_penalty}")
     for i, lam in enumerate(spectrum.eigenvalues, start=1):
         lines += [f"lambda{i}_re={lam.real!r}", f"lambda{i}_im={lam.imag!r}"]
     lines.append("defects=" + ",".join(str(d) for d in spectrum.defects))
@@ -144,14 +143,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     best = rows[int(np.argmin(omega))]
     lines = ["b,omega_star,defect"]
     lines += [f"{b!r},{w!r},{d}" for b, w, d in rows]
-    argmin_line = f"# argmin b={best[0]!r} omega_star={best[1]!r} defect={best[2]}"
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines + [argmin_line]) + "\n")
-        print(f"wrote {args.out}")
-        print(argmin_line)
-    else:
-        print("\n".join(lines + [argmin_line]))
+    lines.append(f"# argmin b={best[0]!r} omega_star={best[1]!r} defect={best[2]}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -199,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IntegrationError, FitError, ArithmeticError, np.linalg.LinAlgError) as exc:

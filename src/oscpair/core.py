@@ -9,9 +9,11 @@ the three primitives defined here: the parameter pair, the state, and
 the energy E = (u^2 + u'^2 + v^2 + v'^2)/2 together with its exact
 dissipation rate dE/dt = epsilon*v'^2 - u'^2.
 
-The dissipation identity is exposed as a first-class function because
-it holds exactly along any solution (the coupling terms cancel), which
-turns every numerical trajectory into a self-checking computation.
+The dissipation identity holds exactly along any solution (the coupling
+terms cancel).  ``energy_rate`` states it pointwise for callers; the
+package's own check is the integrated form: ``sim.integrate`` compares
+each step's energy change with z^T W z, W the Gram matrix of
+epsilon*y^2 - x^2 read from its 8x8 Van Loan block exponential.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ class Params:
     """Parameter pair (epsilon, b): antidamping strength and coupling.
 
     epsilon >= 0 and b > 0 are required.  The dynamics depend on b only
-    through b**2, so negative couplings are equivalent to |b|; use
-    :meth:`from_signed_coupling` to normalize instead of silently taking
-    absolute values here.
+    through b**2, so a negative coupling is equivalent to |b|: pass
+    ``abs(b)``; no absolute value is taken silently here.
     """
 
     epsilon: float
@@ -49,13 +50,6 @@ class Params:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"b must be finite and > 0, got {self.b}")
-
-    @classmethod
-    def from_signed_coupling(cls, epsilon: float, b: float) -> "Params":
-        """Build Params from a coupling of either sign (b != 0)."""
-        if b == 0.0:
-            raise ValueError("coupling b must be nonzero")
-        return cls(epsilon, abs(b))
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ _SAMPLES = 1200  # equal steps per block
 
 # figure id: (plot kind, epsilon, couplings b, initial state, time window).
 # Plot kinds are "energy", "portrait" and "asymptotic".  fig2's coupling
-# comes from q and its window is the portrait's period, or 40 when the
-# portrait does not close (see default_figure_spec).
+# comes from q and its default window is the portrait's period, or 40 when
+# the portrait does not close (see default_figure_spec).
 _CATALOGUE = {
     "fig1": ("energy", 1.0, (0.5, 1.0, 2.0), State(1, 0, 0, 0), 30.0),
     "fig2": ("portrait", 1.0, (math.nan,), State(1, 0, 0, 0), 40.0),
@@ -105,9 +105,12 @@ class FigureSpec:
 
 
 def _b_from_q(q: float) -> float:
-    if not q > 1.0:
-        raise ValueError(f"q must be > 1 (q = 1 is the defective b = 1), got {q}")
-    return math.sqrt(q + 1.0 / q - 1.0)
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be finite and > 1 (q = 1 is the defective b = 1), got {q}")
+    b = math.sqrt(q + 1.0 / q - 1.0)
+    if not b > 1.0:  # q - 1 below about 1.6e-8
+        raise ValueError(f"q = {q!r} is too close to 1: b = sqrt(q + 1/q - 1) rounds to 1")
+    return b
 
 
 def default_figure_spec(
@@ -123,8 +126,10 @@ def default_figure_spec(
     _, eps, bs, z, t = _CATALOGUE[figure_id]
     if figure_id == "fig2":
         b = _b_from_q(q)
-        periodic, period = periodic_portrait_check(b)
-        bs, t = (b,), (period if periodic else t)
+        bs = (b,)
+        if t_end is None:  # the period is asked for only when it sets the window
+            periodic, period = periodic_portrait_check(b)
+            t = period if periodic else t
     return FigureSpec(
         figure_id=figure_id,
         params=tuple(Params(eps, b) for b in bs),

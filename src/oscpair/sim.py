@@ -338,7 +338,9 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     d of the propagator norm at ``_FIT_SAMPLES`` = 400 equally spaced
     times.  The fit window starts at t_max/2 to suppress transients.
     When ``t_max`` is omitted it is 60 if :func:`classify` gives
-    ExpBlowup (overflow guard) and 200 otherwise.
+    ExpBlowup (overflow guard) and 200 otherwise.  A strongly antidamped
+    pair passes the guard before 60 (Params(5, 1) at t = 49.9, Params(8, 1)
+    at t = 30); a shorter ``t_max`` is the way to fit it.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
     come from one :func:`operator_norm` call on the stack.

@@ -307,10 +307,6 @@ class Regime:
     omega_star: float
     defect_penalty: int
 
-    @property
-    def degree(self) -> int:
-        return self.defect_penalty
-
 
 def classify(p: Params) -> Regime:
     """Regime of the parameter pair, with boundaries decided on inputs.

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from oscpair import acceptance, core, sim
+from oscpair import acceptance, cli, core, sim
 from oscpair.acceptance import CRITERIA, run_all
 
 # details that are part of the output contract, quoted as fixed figures
@@ -44,14 +44,22 @@ def test_criterion_1_builds_no_params_or_single_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("numbers, named", [(set(), "no criteria"), ({11}, "[11]"), ({2, 42}, "[42]")])
-def test_run_all_rejects_an_empty_or_unknown_selection(numbers, named):
-    lines = []
+def test_run_all_rejects_an_empty_or_unknown_selection(capsys, numbers, named):
     with pytest.raises(ValueError, match=re.escape(named)):
-        run_all(numbers, emit=lines.append)
-    assert lines == []
+        run_all(numbers)
+    assert capsys.readouterr().out == ""
 
 
-def test_run_all_runs_exactly_the_selection():
-    lines = []
-    assert run_all({2}, emit=lines.append)
+def test_run_all_runs_exactly_the_selection(capsys):
+    assert run_all({2})
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("PASS criterion 2:")
+
+
+def test_a_criterion_that_raises_fails_the_accept_verb(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.Criterion(4, "crashes", crash)])
+    assert cli.main(["accept", "--only", "4"]) == 3
+    assert capsys.readouterr().out == "FAIL criterion 4: crashes [raised RuntimeError: boom]\n"

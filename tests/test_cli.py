@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscpair import cli, spectrum
+from oscpair import cli, figures, sim, spectrum
 from oscpair.cli import main
 from oscpair.core import Params
 from oscpair.figures import parse_figure_csv
@@ -103,17 +103,6 @@ def test_sweep_no_decay_at_critical_antidamping(capsys):
     assert all(float(r.split(",")[1]) >= 0.0 for r in rows)
 
 
-def test_sweep_writes_file(tmp_path, capsys):
-    out_file = tmp_path / "sweep.csv"
-    code, out, _ = run_cli(
-        capsys, "sweep", "--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8",
-        "--n", "11", "--out", str(out_file),
-    )
-    assert code == 0
-    assert out_file.exists()
-    assert out_file.read_text().startswith("b,omega_star,defect")
-
-
 def test_sweep_usage_errors(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--epsilon", "0.5", "--b-min", "1", "--b-max", "2", "--n", "1"
@@ -123,6 +112,23 @@ def test_sweep_usage_errors(capsys):
         capsys, "sweep", "--epsilon", "0.5", "--b-min", "3", "--b-max", "2", "--n", "5"
     )
     assert code == 1
+
+
+def test_sweep_has_no_out_option(tmp_path, capsys):
+    # the CSV goes to stdout; `> file` is the one way to a file
+    argv = ["--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8", "--n", "11"]
+    code, _, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "s.csv"))
+    assert code == 1 and "unrecognized arguments: --out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_grid_too_large_to_allocate_is_an_error(capsys):
+    # 10**15 floats are 7.1 PiB, more than a 48-bit (128 TiB) user address
+    # space: numpy's MemoryError comes at once and nothing is allocated
+    argv = ["--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8", "--n", str(10**15)]
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_figure_command_writes_outputs(tmp_path, capsys):
@@ -237,6 +243,33 @@ def test_figure_rejects_unknown_id(capsys):
 def test_figure_rejects_degenerate_q(capsys):
     code, _, err = run_cli(capsys, "figure", "fig2", "--q", "1")
     assert code == 1 and "q must be" in err
+
+
+def test_fig2_with_its_own_window_asks_for_no_period(tmp_path, capsys, monkeypatch):
+    # at q = 1.001 the period fails its recurrence check; --t-end does not need it
+    monkeypatch.setattr(figures, "periodic_portrait_check", None)
+    argv = ["figure", "fig2", "--q", "1.001", "--t-end", "10", "--out", str(tmp_path / "f2")]
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    block = parse_figure_csv(tmp_path / "f2.csv")[0]
+    assert block["t"][-1] == 10.0
+
+
+@pytest.mark.parametrize("window", [[], ["--t-end", "10"]])
+def test_fig2_rejects_a_q_whose_coupling_rounds_to_one(tmp_path, capsys, window):
+    argv = ["figure", "fig2", "--q", "1.0000000001", *window, "--out", str(tmp_path / "f2")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "error: q = 1.0000000001 is too close to 1: b = sqrt(q + 1/q - 1) rounds to 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig2_period_failing_its_recurrence_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "propagator", lambda p, t: sim.PropagatorSample(t=t, matrix=-np.eye(4)))
+    code, out, err = run_cli(capsys, "figure", "fig2", "--out", str(tmp_path / "f2"))
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: predicted period") and err.count("\n") == 1
+    assert "fails recurrence: gap 2.000e+00" in err
 
 
 def test_modes_command(tmp_path, capsys):
@@ -446,7 +479,7 @@ def reference_classify_output(eps: float, b: float) -> tuple[int, str, str]:
         f"defect={regime.defect_penalty}",
     ]
     if regime.kind is RegimeKind.POLY_BLOWUP:
-        lines.append(f"degree={regime.degree}")
+        lines.append(f"degree={regime.defect_penalty}")
     for i, lam in enumerate(spec.eigenvalues, start=1):
         lines.append(f"lambda{i}_re={lam.real!r}")
         lines.append(f"lambda{i}_im={lam.imag!r}")
@@ -503,3 +536,58 @@ def test_modes_tail_check_is_a_usage_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, "--tail-check", value)
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --tail-check" in err
+
+
+# extreme numbers for the fuzz: zero, subnormal, tiny, one ulp either side of
+# 1, huge, the largest decade of floats, non-finite, negative
+EXTREMES = [
+    "0", "5e-324", "1e-300", repr(math.nextafter(1.0, 0.0)), repr(math.nextafter(1.0, 2.0)),
+    "1e150", "1e300", "1.7e308", "inf", "nan", "-1", "-5e-324", "-inf",
+]
+
+
+def fuzz_argvs(tmp_path) -> list[list[str]]:
+    """A seeded list of argv over all five verbs, built from EXTREMES."""
+    rng = np.random.default_rng(20)
+
+    def pick(k=1):
+        return [str(v) for v in rng.choice(EXTREMES, k)]
+
+    mode_files = []
+    for name, text in [("hex", "0x10\n"), ("nan", "1\nnan\n"), ("empty", ""), ("ok", "1\n4\n9\n")]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        mode_files.append(str(path))
+    argvs = []
+    for k in range(40):
+        eps, b = pick(2)
+        argvs.append(["classify", "--epsilon", eps, "--b", b])
+        eps, lo, hi = pick(1) + sorted(pick(2), key=float)
+        n = str(rng.choice(["-1", "0", "2", "3", "17", str(10**15)]))
+        argvs.append(["sweep", "--epsilon", eps, "--b-min", lo, "--b-max", hi, "--n", n])
+        eps, b = pick(2)
+        argvs.append(["modes", "--modes-file", mode_files[k % 4], "--epsilon", eps, "--b", b])
+        fig = f"fig{k % 9 + 1}"
+        q, t_end, u = pick(3)
+        out = str(tmp_path / f"fig{k}")
+        argvs.append(["figure", fig, "--q", q, "--t-end", t_end, f"--z0={u},0,0,1", "--out", out])
+    argvs += [["figure", "fig2", "--q", q, "--out", str(tmp_path / "q")] for q in EXTREMES]
+    argvs += [["accept", "--only", only] for only in ("0", "11", "-1", "nan", "", "2,x", "3")]
+    argvs.append(["sweep", "--epsilon", "0.5", "--b-min", "0.7", "--b-max", "0.8", "--n", str(10**15)])
+    return argvs
+
+
+def test_cli_fuzz_exits_with_a_documented_code_and_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    prefixes = {1: ("usage error: ", "error: "), 2: ("numerical failure: ",)}
+    bad = []
+    for argv in fuzz_argvs(tmp_path):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # an escape is the failure looked for
+            bad.append((argv, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or not err.startswith(prefixes.get(code, ("",))):
+            bad.append((argv, code, err))
+    assert bad == []

@@ -129,12 +129,6 @@ def test_params_validation():
         Params(math.nan, 1.0)
 
 
-def test_params_signed_coupling_helper():
-    assert Params.from_signed_coupling(0.5, -2.0) == Params(0.5, 2.0)
-    with pytest.raises(ValueError):
-        Params.from_signed_coupling(0.5, 0.0)
-
-
 def test_state_requires_finite_components():
     with pytest.raises(ValueError):
         State(1.0, math.inf, 0.0, 0.0)

@@ -655,6 +655,19 @@ def test_norm_growth_fit_reference_points(eps, b, rate, degree):
     assert fit.rms_residual < 0.2
 
 
+def test_norm_growth_fit_without_oscillation_is_one_plain_fit(monkeypatch):
+    # at (0, 10) the detrended log-norm has fewer than 4 local maxima: no refit
+    calls = []
+    lstsq = sim._trend_lstsq
+    monkeypatch.setattr(sim, "_trend_lstsq", lambda *a: calls.append(a) or lstsq(*a))
+    p = Params(0.0, 10.0)
+    fit = norm_growth_fit(p)
+    regime = classify(p)
+    assert len(calls) == 1
+    assert abs(fit.rate - regime.omega_star) <= 1e-4  # -0.004918 vs -0.004855
+    assert abs(fit.poly_degree - regime.defect_penalty) <= 0.01  # -0.006 vs 0
+
+
 def test_norm_growth_fit_tracks_growth_bound_when_blowing_up():
     p = Params(2.0, 1.0)
     fit = norm_growth_fit(p)

@@ -14,6 +14,8 @@ from oscpair import (
     FigureSpec,
     ModeFamily,
     Params,
+    acceptance,
+    classify,
     cli,
     default_figure_spec,
     dirichlet_modes,
@@ -268,7 +270,6 @@ def test_unpassed_default_check_flags_only_unpassed_parameters():
 UNPASSED_DEFAULTS = {
     "sim.norm_growth_fit(t_max)": "the caller's horizon; the default is the regime rule",
     "spectrum.root_defects(mu)": "per-mode defects, for the per-mode verdicts of ROADMAP item 7",
-    "acceptance.run_all(emit)": "where the PASS/FAIL lines go, a seam for tests",
     "cli.main(argv)": "the entry point, given the process arguments by default",
 }
 
@@ -297,11 +298,23 @@ FIG7 = default_figure_spec("fig7", output_stem="unwritten")
         pytest.param(lambda: dirichlet_modes(3, length=2.0), id="dirichlet_modes-length"),
         pytest.param(lambda: dirichlet_modes(3, label="x"), id="dirichlet_modes-label"),
         pytest.param(lambda: load_mode_family("unread.txt", label="x"), id="load_mode_family-label"),
+        pytest.param(lambda: acceptance.run_all({2}, emit=print), id="run_all-emit"),
     ],
 )
 def test_options_no_caller_set_are_gone(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(Params, "from_signed_coupling"), (classify(Params(1.0, 1.0)), "degree")],
+    ids=["Params.from_signed_coupling", "Regime.degree"],
+)
+def test_second_ways_to_one_result_are_gone(owner, name):
+    # Params(eps, abs(b)) and Regime.defect_penalty are the one way
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -220,7 +220,7 @@ def test_classification_table(eps, b, kind):
     else:
         assert regime.omega_star == 0.0
     if kind is RegimeKind.POLY_BLOWUP:
-        assert regime.degree == 1
+        assert regime.defect_penalty == 1
 
 
 def test_classification_consistent_with_growth_bound_sign():
@@ -266,6 +266,12 @@ def test_optimal_coupling_reference_values():
     b_opt, omega = optimal_coupling(0.99)
     assert b_opt == pytest.approx(0.995, abs=1e-15)
     assert omega == pytest.approx(-0.0025, abs=1e-15)
+
+
+def test_optimal_coupling_raises_when_the_search_disagrees_with_the_closed_form(monkeypatch):
+    monkeypatch.setattr(spectrum, "minimize_growth_bound", lambda eps, lo, hi: (0.76, -0.12))
+    with pytest.raises(ArithmeticError, match="minimizer 0.76 disagrees with .* = 0.75"):
+        optimal_coupling(0.5)
 
 
 def test_optimal_coupling_rejects_non_decaying_range():
