@@ -4,8 +4,8 @@ The model couples a dissipative oscillator to an antidissipative one
 through the velocities, with coupling strength b and antidamping
 epsilon.  This package classifies the long-time energy behavior over
 the (epsilon, b) plane, evaluates the closed-form spectrum and its
-Jordan defects, simulates trajectories with exact energy-balance
-checking, finds the optimal coupling, and extends the analysis mode by
+Jordan defects, simulates trajectories whose steps are checked against
+that spectrum, finds the optimal coupling, and extends the analysis mode by
 mode to systems with a general positive stiffness operator.
 """
 

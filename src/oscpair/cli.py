@@ -177,10 +177,21 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 
 
+def _join_option_values(argv: list[str]) -> list[str]:
+    """Each ``--opt value`` as ``--opt=value``, since argparse reads a value such
+    as -5e-324 or -1,0,0,0 as an option; every long option but --help takes one."""
+    out, rest = [], iter(argv)
+    for tok in rest:
+        takes_value = tok.startswith("--") and "=" not in tok and tok not in ("--", "--help")
+        value = next(rest, None) if takes_value else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
         handler = {
             "classify": _cmd_classify,
             "figure": _cmd_figure,

@@ -11,9 +11,10 @@ dissipation rate dE/dt = epsilon*v'^2 - u'^2.
 
 The dissipation identity holds exactly along any solution (the coupling
 terms cancel).  ``energy_rate`` states it pointwise for callers; the
-package's own check is the integrated form: ``sim.integrate`` compares
-each step's energy change with z^T W z, W the Gram matrix of
-epsilon*y^2 - x^2 read from its 8x8 Van Loan block exponential.
+package uses the integrated form: epsilon*v'^2 - u'^2 is z^T Q z with
+Q = (A + A^T)/2, so over a step S = exp(h A) it integrates to z^T W z
+with W = (S^T S - I)/2, the Gram matrix that ``sim.integrate`` reads
+from its step.
 """
 
 from __future__ import annotations

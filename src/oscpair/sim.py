@@ -11,19 +11,16 @@ stepped exactly, z_m = S(dt)^m z_0.  The n steps run in blocks of
 k ~ sqrt(n), z_{jk+i} = S(dt)^i z_{jk}: the powers and the block starts
 take one product each and every other state comes from one batched
 product, so a grid costs about 2 sqrt(n) Python-level products, not n.
-A trajectory also carries the integral of epsilon*y^2 - x^2 over each
-step, from one 8x8 block exponential (Van Loan 1978; a long step is
-taken as 2^k shorter ones, k fixed in advance by dt*||A||_1, and
-doubled back), and checks each step against the exact energy balance
-E(t) - E(0) = int_0^t (epsilon*y^2 - x^2) ds.  A step that misses it by
-1e-6 (1 + E), or a norm past 1e100, raises a typed error.
+A trajectory reads the integral of epsilon*y^2 - x^2 over a step from
+the step itself, W = (S^T S - I)/2, as (A + A^T)/2 = diag(0, -1, 0,
+epsilon), and checks the step's traces against the closed-form spectrum;
+a gap past 1e-6, or a norm past 1e100, raises a typed error.
 
 Every matrix exponential goes through the module name ``expm``, which
 imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
 numpy and the standard library only, so the spectral entry points never
-pay for scipy.  Only :func:`propagator`, :func:`integrate` and
-:func:`norm_growth_fit` call it; the periodicity check reads its
-recurrence gap from the first and its scan from the second.
+pay for scipy.  Only :func:`propagator` and :func:`norm_growth_fit` call
+it; trajectories and the periodicity check reach it through the first.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Params, State, assemble_matrix
-from .spectrum import RegimeKind, classify
+from .spectrum import RegimeKind, classify, palindromic_roots
 
 __all__ = [
     "IntegrationError",
@@ -58,10 +55,8 @@ __all__ = [
 _NORM_OVERFLOW = 1e100
 # largest power of a step that _march multiplies by an anchor
 _POWER_CAP = 1e150
-# largest entry of exp(-h A^T) in integrate's Van Loan block of step h
-_CORNER_CAP = 100.0
-# largest |dE - z^T W z| / (1 + E) on one step of integrate
-_DRIFT_CAP = 1e-6
+# largest gap of integrate's step traces from the spectrum, relative to their scale
+_TRACE_GAP_CAP = 1e-6
 _MAX_RMS = 1.0  # largest rms residual of norm_growth_fit's trend
 _FIT_SAMPLES = 400  # norm_growth_fit's sample times
 # periodic_portrait_check: relative frequency-ratio tolerance, times the
@@ -115,8 +110,8 @@ class Trajectory:
     """Sampled solution: times, 4-column states, energies, dissipation.
 
     ``dissipated[k]`` is the integral of epsilon*y^2 - x^2 from 0 to
-    times[k], accumulated by the integrator itself; the exact balance
-    energies[k] - energies[0] = dissipated[k] holds up to rounding.
+    times[k], the sum of z_m^T W z_m over the earlier steps S, W = (S^T S - I)/2;
+    energies[k] - energies[0] = dissipated[k] is an identity up to rounding.
     """
 
     times: np.ndarray
@@ -190,6 +185,19 @@ def _march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((blocks * k,) + start.shape)[: n + 1]
 
 
+def _trace_gap(p: Params, dt: float, step: np.ndarray) -> float:
+    """Larger gap of tr S^k from the sum of exp(k lambda dt), k = 1, 2, each
+    relative to 1 + the sum of |exp(k lambda dt)|, lambda from the closed form.
+
+    Traces do not see the Jordan structure, so defective steps compare
+    exactly; under :func:`propagator`'s 1e100 guard neither sum overflows.
+    """
+    with np.errstate(all="ignore"):  # a NaN gap fails the caller's check
+        e = np.exp(palindromic_roots(p.epsilon, p.b) * dt)
+    return float(max(abs(np.trace(s) - np.sum(f)) / (1.0 + np.sum(np.abs(f)))
+                     for s, f in ((step, e), (step @ step, e * e))))
+
+
 def integrate(
     p: Params,
     z0: State,
@@ -198,56 +206,35 @@ def integrate(
 ) -> Trajectory:
     """Exact trajectory of z' = A z from z0 on ``samples`` equal steps.
 
-    With dt = t_end/samples, expm(h * [[-A^T, Q], [0, A]]) with
-    Q = diag(0, -1, 0, epsilon) holds the step S(h) in its lower-right
-    block, and S(h)^T times its upper-right block is the Gram matrix
-    W = int_0^h exp(s A^T) Q exp(s A) ds (Van Loan 1978).  The block is
-    exponentiated once, at h = dt/2^k for the least k with
-    h*||A||_1 < ln 100, which bounds its exp(-h A^T) corner by 100: that
-    corner grows where S decays, and its rounding would swamp W.  Then
-    k doublings, W <- W + S^T W S and S <- S S, give S(dt) and W(dt).
-    The states are z_m = S(dt)^m z0, stepped in blocks of about
-    sqrt(samples) steps; ``dissipated`` sums z_m^T W z_m, independently
-    of the energies.  Raises IntegrationError once a state's norm passes
-    1e100, and for a step too long to resolve: one whose energy change
-    and z_m^T W z_m differ by more than 1e-6 (1 + E_m).
+    With dt = t_end/samples and S = S(dt) from :func:`propagator`, the
+    states are z_m = S^m z0, stepped in blocks of about sqrt(samples)
+    steps.  As (A + A^T)/2 = diag(0, -1, 0, epsilon), the Gram matrix of
+    epsilon*y^2 - x^2 over a step is W = (S^T S - I)/2, and ``dissipated``
+    sums z_m^T W z_m.  Raises IntegrationError when the norm of S or of a
+    state passes 1e100, and for a step too long to resolve: one whose
+    :func:`_trace_gap` from the closed-form spectrum passes 1e-6.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
-    m = assemble_matrix(p)
-    q = np.diag([0.0, -1.0, 0.0, p.epsilon])
-    block = np.block([[-m.T, q], [np.zeros((4, 4)), m]])
     dt = t_end / samples
-    # |exp(-h A^T)| <= exp(h ||A||_1) entrywise; the least k with reach < 2^k is frexp's
-    reach = dt * float(np.linalg.norm(m, 1)) / math.log(_CORNER_CAP)
-    if not math.isfinite(reach):
-        raise IntegrationError(f"step exponential overflows at dt={dt:g}")
-    k = max(0, math.frexp(reach)[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        van_loan = expm(math.ldexp(dt, -k) * block)
-        step = van_loan[4:, 4:]
-        gram = step.T @ van_loan[:4, 4:]
-        for _ in range(k):  # W(2h) = W(h) + S(h)^T W(h) S(h), S(2h) = S(h)^2
-            gram = gram + step.T @ gram @ step
-            step = step @ step
-    if not all(np.isfinite(a).all() for a in (van_loan, step, gram)):
-        raise IntegrationError(f"step exponential overflows at dt={dt:g}")
+    step = propagator(p, dt).matrix
+    gap = _trace_gap(p, dt, step)
+    if not gap <= _TRACE_GAP_CAP:
+        raise IntegrationError(f"step too long to resolve at dt={dt:g}: trace gap {gap:.3e}")
+    gram = 0.5 * (step.T @ step - np.eye(4))
 
     times = np.linspace(0.0, t_end, samples + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         states = _march(step, z0.as_array(), samples)
         energies = 0.5 * np.sum(states * states, axis=1)
         gains = np.sum((states[:-1] @ gram) * states[:-1], axis=1)
-        drift = np.abs(np.diff(energies) - gains) / (1.0 + energies[:-1])
     # E = |z|^2 / 2, so this flags |z| > 1e100; the negation also flags NaN
     over = np.flatnonzero(~(energies <= 0.5 * _NORM_OVERFLOW**2))
     if over.size:
         raise IntegrationError(f"state norm exceeds overflow guard at t={times[over[0]]:g}")
-    if not drift.max() <= _DRIFT_CAP:
-        raise IntegrationError(f"step too long to resolve at dt={dt:g}: drift {drift.max():.3e}")
     return Trajectory(
         times=times,
         states=states,
@@ -337,10 +324,9 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     Measures the exponential rate w and the polynomial correction degree
     d of the propagator norm at ``_FIT_SAMPLES`` = 400 equally spaced
     times.  The fit window starts at t_max/2 to suppress transients.
-    When ``t_max`` is omitted it is 60 if :func:`classify` gives
-    ExpBlowup (overflow guard) and 200 otherwise.  A strongly antidamped
-    pair passes the guard before 60 (Params(5, 1) at t = 49.9, Params(8, 1)
-    at t = 30); a shorter ``t_max`` is the way to fit it.
+    When ``t_max`` is omitted it is 200, or, if :func:`classify` gives
+    ExpBlowup, min(60, 100/omega*): the norm grows like exp(omega* t), so
+    it stays well under the 1e100 overflow guard.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
     come from one :func:`operator_norm` call on the stack.
@@ -358,7 +344,9 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     a sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
     """
     if t_max is None:
-        t_max = 60.0 if classify(p).kind is RegimeKind.EXP_BLOWUP else 200.0
+        regime = classify(p)
+        blowup = regime.kind is RegimeKind.EXP_BLOWUP
+        t_max = min(60.0, 100.0 / regime.omega_star) if blowup else 200.0
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     m = assemble_matrix(p)
@@ -410,9 +398,8 @@ def periodic_portrait_check(b: float) -> tuple[bool, float]:
     ``_RECURRENCE_TOL`` = 1e-6 at T, with S(T) from :func:`propagator`;
     an aperiodic one must not recur at any t >= 0.5 on the 1,024 steps of
     :func:`integrate` over [0, ``_SCAN_T_MAX``] = [0, 200].  Violations,
-    and the errors of either engine (a NaN or overflowing S(T), a scan
-    that fails its energy balance), raise IntegrationError; ValueError
-    unless b > 1 is finite.
+    and the errors of either engine (a NaN or overflowing S(T), a scan step
+    too long to resolve), raise IntegrationError; ValueError unless b > 1 is finite.
     """
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"periodicity check requires finite b > 1, got {b}")

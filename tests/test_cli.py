@@ -68,6 +68,29 @@ def test_classify_rejects_invalid_parameters(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("verb, option, value", [
+    (["classify", "--b", "1"], "--epsilon", "-5e-324"),
+    (["classify", "--epsilon", "0.5"], "--b", "-inf"),
+    (["figure", "fig1"], "--t-end", "-1e-300"),
+    (["figure", "fig1"], "--z0", "-1,0,0,0"),
+])
+def test_negative_option_value_acts_as_its_joined_form(tmp_path, capsys, verb, option, value):
+    # argparse alone reads each value as an option string: "expected one argument"
+    out = ["--out", str(tmp_path / "f")] if verb[0] == "figure" else []
+    joined = run_cli(capsys, *verb, f"{option}={value}", *out)
+    assert run_cli(capsys, *verb, option, value, *out) == joined
+    if option == "--z0":
+        assert joined[0] == 0
+    else:
+        assert joined[0] == 1 and joined[2].startswith("error: ") and value in joined[2]
+
+
+def test_option_without_its_value_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "classify", "--b", "1", "--epsilon")
+    assert code == 1
+    assert err == "usage error: argument --epsilon: expected one argument\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "explode")
     assert code == 1
@@ -190,7 +213,7 @@ def test_figure_start_whose_energy_overflows_is_a_numerical_failure(tmp_path, ca
 
 
 def test_fig8_decays_over_a_long_window(tmp_path, capsys):
-    # dt = 1e6/1200: one Van Loan block over dt loses the decaying step
+    # dt = 1e6/1200: the step decays to about 1e-31, and the states with it
     argv = ["figure", "fig8", "--t-end", "1e6", "--out", str(tmp_path / "f8")]
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -200,7 +223,8 @@ def test_fig8_decays_over_a_long_window(tmp_path, capsys):
 
 
 def test_fig8_decays_to_zero_when_the_step_corner_would_overflow(tmp_path, capsys):
-    # dt = 83,333: exp(-dt A^T) overflows, so the doubling count comes from a bound
+    # dt = 83,333: exp(-dt A^T) would overflow, and the step exp(dt A)
+    # underflows to zero, as does every later state
     argv = ["figure", "fig8", "--t-end", "1e8", "--out", str(tmp_path / "f8")]
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err

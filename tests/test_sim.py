@@ -385,8 +385,8 @@ def test_integrate_consistent_with_propagator_and_energy_balance():
 
 @pytest.mark.parametrize("t_end", [800.0, 1800.0, 1e8])
 def test_integrate_long_steps_in_the_decay_regime(t_end):
-    # dt = t_end/8 up to 225: exp(-dt A^T) in the Van Loan block reaches
-    # about 1e16 while S(dt) decays to about 1e-9
+    # dt = t_end/8 up to 1.25e7: S(dt) decays to about 1e-9 at dt = 225 and
+    # underflows long before the last
     p, z0, tol = Params(0.5, 1.0), np.ones(4), 1e-10
     traj = integrate(p, State.from_array(z0), t_end, samples=8)
     want = np.array([propagator(p, t).matrix @ z0 for t in traj.times.tolist()])
@@ -448,8 +448,8 @@ def test_integrate_shortest_window_keeps_the_initial_state():
 
 
 def test_integrate_step_whose_bound_overflows_raises_integration_error():
-    # dt * ||A||_1 is inf, so no doubling count exists
-    with pytest.raises(IntegrationError, match="step exponential overflows"):
+    # dt * A overflows the exponential, and propagator's guard flags the step
+    with pytest.raises(IntegrationError, match="exceeds overflow guard at t=1.7e\\+308$"):
         integrate(Params(0.5, 1.0), State(1, 0, 0, 0), 1.7e308, samples=1)
 
 
@@ -460,6 +460,40 @@ def test_integrate_rejects_steps_too_long_to_resolve(p, z0):
     # disagree by 1e-3 or more of the energy, and the energies are wrong
     with pytest.raises(IntegrationError, match="step too long to resolve"):
         integrate(p, z0, 1e17, samples=1200)
+
+
+def test_integrate_trace_gap_bound_is_pinned():
+    assert sim._TRACE_GAP_CAP == 1e-6
+
+
+@pytest.mark.parametrize("eps, b, t_end, samples", [(5.0, 1.0, 40.0, 4),
+                                                    (2.0, 1.0, 150.0, 1),
+                                                    (2.0, 1.0, 270.0, 1)])
+def test_integrate_resolves_exact_blowup_steps(eps, b, t_end, samples):
+    # steps of norm up to 6e94: exact, and within propagator's guard
+    p, z0 = Params(eps, b), State(1, 0, 0, 0)
+    traj = integrate(p, z0, t_end, samples=samples)
+    want = propagator(p, t_end).matrix @ z0.as_array()
+    assert np.abs(traj.states[-1] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("delta, flagged", [(1e-5, True), (1e-8, False)])
+def test_integrate_flags_a_scaled_step(monkeypatch, delta, flagged):
+    inner = sim.expm
+    monkeypatch.setattr(sim, "expm", lambda a: inner(a) * (1.0 + delta))
+    p, z0 = Params(0.5, 0.75), State(1, 0, 0, 0)
+    if flagged:
+        with pytest.raises(IntegrationError, match="step too long to resolve at dt=0.05: trace gap"):
+            integrate(p, z0, 10.0, samples=200)
+    else:
+        integrate(p, z0, 10.0, samples=200)
+
+
+@pytest.mark.parametrize("p, dt", [(p, 0.05) for p in SIM_GRID]
+                         + [(Params(0.5, 1.0), t / 1200) for t in (1e6, 1e8)], ids=repr)
+def test_integrate_trace_gap_is_at_rounding_level(p, dt):
+    # the SIM_GRID steps of 10 time units on 200 samples, and fig8's long windows
+    assert sim._trace_gap(p, dt, propagator(p, dt).matrix) <= 1e-12
 
 
 def test_integrate_matches_explicit_solution_over_long_window():
@@ -693,10 +727,21 @@ def test_norm_growth_fit_horizon_is_the_regimes(p):
     assert norm_growth_fit(p) == norm_growth_fit(p, t_max=200.0)
 
 
-@pytest.mark.parametrize("p", [Params(1.5, 1.25), Params(1.0, 0.5), Params(0.5, 0.35)], ids=repr)
+@pytest.mark.parametrize("p", [Params(1.5, 1.25), Params(1.0, 0.5), Params(0.5, 0.35),
+                               Params(2.0, 1.0)], ids=repr)
 def test_norm_growth_fit_blowup_horizon_is_60(p):
     assert classify(p).kind is RegimeKind.EXP_BLOWUP
     assert norm_growth_fit(p) == norm_growth_fit(p, t_max=60.0)
+
+
+@pytest.mark.parametrize("p, rate", [(Params(5.0, 1.0), 4.611582),
+                                     (Params(8.0, 1.0), 7.758593),
+                                     (Params(100.0, 1.0), 99.980096)], ids=repr)
+def test_norm_growth_fit_blowup_horizon_shrinks_with_the_rate(p, rate):
+    # 60 would pass the overflow guard; 100/omega* stays under it
+    fit = norm_growth_fit(p)
+    assert fit == norm_growth_fit(p, t_max=100.0 / classify(p).omega_star)
+    assert fit.rate == pytest.approx(rate, abs=1e-6)
 
 
 def test_norm_growth_fit_aborts_on_overflow():
@@ -765,7 +810,7 @@ def test_periodicity_nan_recurrence_gap_raises_without_warnings():
 
 def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
     monkeypatch.setattr(sim, "expm", lambda a: np.full_like(a, math.nan))
-    with pytest.raises(IntegrationError, match="step exponential overflows"):
+    with pytest.raises(IntegrationError, match="exceeds overflow guard"):
         periodic_portrait_check(math.sqrt(2.0))
 
 
@@ -860,11 +905,11 @@ def test_every_exponential_goes_through_sim_expm(monkeypatch):
     p = Params(0.5, 0.75)
     expected = [
         (lambda: propagator(p, 1.0), [(4, 4)]),
-        (lambda: integrate(p, State(1.0, 0.0, 0.0, 0.0), 10.0), [(8, 8)]),
-        (lambda: integrate(Params(0.5, 1.0), State(1, 1, 1, 1), 1800.0, samples=8), [(8, 8)]),
+        (lambda: integrate(p, State(1.0, 0.0, 0.0, 0.0), 10.0), [(4, 4)]),
+        (lambda: integrate(Params(0.5, 1.0), State(1, 1, 1, 1), 1800.0, samples=8), [(4, 4)]),
         (lambda: norm_growth_fit(p), [(4, 4)] * 2),
         (lambda: periodic_portrait_check(math.sqrt(4.0 + 0.25 - 1.0)), [(4, 4)]),
-        (lambda: periodic_portrait_check(math.sqrt(2.0)), [(8, 8)]),
+        (lambda: periodic_portrait_check(math.sqrt(2.0)), [(4, 4)]),
     ]
     for run, shapes in expected:
         calls.clear()

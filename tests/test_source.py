@@ -186,10 +186,11 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
     assert callers(source, "expm") == ["<module>", "C", "f", "g"]
 
 
-# one exponential path per job: a propagator, a trajectory's Van Loan step, and
-# the fit's step and start; the fit and the trajectory march their own grids
+# one exponential path per job: a propagator, which is also a trajectory's
+# step, and the fit's step and start; the fit and the trajectory march their
+# own grids
 DESIGNED_CALLERS = {
-    "expm": {"sim": ["integrate", "norm_growth_fit", "propagator"]},
+    "expm": {"sim": ["norm_growth_fit", "propagator"]},
     "_march": {"sim": ["integrate", "norm_growth_fit"]},
 }
 
