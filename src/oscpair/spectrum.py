@@ -79,9 +79,11 @@ CLUSTER_TOL = 1e-6
 # b = 1, b = sqrt(eps), b = (1+eps)/2, ...) that decide regimes and defects.
 BOUNDARY_RTOL = 1e-12
 
-_ZOOM = 64  # points per bracketing level of minimize_growth_bound
+_ZOOM = 64  # points per bracketing level of _bracket
+_LEVEL = np.arange(_ZOOM, dtype=np.int64)  # k of a level's points
 _SCAN_ULPS = 2000  # minimize_growth_bound scans every float of a bracket this narrow
 _SCAN_B_MAX = 10.0  # optimal_coupling checks its closed form on [0, _SCAN_B_MAX]
+_CHECK_WIDTH = 1e-7  # optimal_coupling narrows its bracket to this width
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -353,36 +355,60 @@ def _regime(p: Params, spectrum: Spectrum) -> Regime:
     return Regime(kind=_KINDS[int(kind)], omega_star=float(omega), defect_penalty=int(defect))
 
 
+def _omega(epsilon, patterns):
+    """omega*(b) at the floats whose int64 bit patterns are ``patterns``."""
+    return palindromic_roots(epsilon, patterns.view(np.float64)).real.max(axis=-1)
+
+
+def _bracket(epsilon: float, lo: int, hi: int, done) -> tuple[int, int]:
+    """Bracket the first minimum of omega*(b) over the bit patterns [lo, hi]
+    of non-negative floats until ``done(lo, hi)``; returns the last (lo, hi).
+
+    Bit patterns are consecutive for consecutive non-negative floats.  Each
+    level evaluates the ``_ZOOM`` patterns lo + k (hi - lo) // (_ZOOM - 1)
+    in one array call and keeps the neighbours of the first minimum.  With
+    q, r = divmod(hi - lo, _ZOOM - 1) the pattern is lo + k q + k r // (_ZOOM - 1),
+    the same integer, formed in int64 without overflow.  Each level shrinks
+    a bracket of 64 or more patterns, so ``done`` must hold for narrower ones.
+    """
+    while not done(lo, hi):
+        q, r = divmod(hi - lo, _ZOOM - 1)
+        patterns = lo + _LEVEL * q + (_LEVEL * r) // (_ZOOM - 1)
+        k = int(np.argmin(_omega(epsilon, patterns)))
+        lo, hi = int(patterns[max(k - 1, 0)]), int(patterns[min(k + 1, _ZOOM - 1)])
+    return lo, hi
+
+
+def _pattern(x: float) -> int:
+    """The int64 bit pattern of a float; adding 0.0 turns -0.0, whose
+    pattern is negative, into +0.0."""
+    return int(np.float64(x + 0.0).view(np.int64))
+
+
+def _float(pattern: int) -> float:
+    """The float whose int64 bit pattern is ``pattern``."""
+    return float(np.int64(pattern).view(np.float64))
+
+
 def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[float, float]:
     """Numerically minimize omega*(b) over [b_lo, b_hi] at fixed epsilon.
 
-    Bracketing over int64 bit patterns, which are consecutive for
-    consecutive non-negative floats: each level evaluates ``_ZOOM`` points
-    evenly spaced in pattern space in one array call and keeps the
-    neighbours of the first minimum as the bracket, until it spans at most
-    ``_SCAN_ULPS`` = 2000 ulps; then every float in it is evaluated and
-    the first minimum wins.  Any bracket takes at most a dozen levels.  The
-    exhaustive finish matters: at the optimum the growth bound has a
-    square-root cusp, so its value locates the minimizer only to
-    sqrt(eps_machine), and sampling can stop short of the exact
-    floating-point argmin.
+    Brackets the first minimum over bit patterns (``_bracket``, ``_ZOOM``
+    points per level) until the bracket spans at most ``_SCAN_ULPS`` = 2000
+    ulps; then every float in it is evaluated and the first minimum wins.
+    Any bracket takes at most a dozen levels.  The exhaustive finish
+    matters: at the optimum the growth bound has a square-root cusp, so its
+    value locates the minimizer only to sqrt(eps_machine), and sampling can
+    stop short of the exact floating-point argmin.
 
     Requires 0 <= b_lo < b_hi < inf.  Returns (b_opt, omega*(b_opt)).
     """
     if not 0.0 <= b_lo < b_hi < math.inf:
         raise ValueError(f"need 0 <= b_lo < b_hi < inf, got [{b_lo!r}, {b_hi!r}]")
-    # adding 0.0 turns -0.0, whose pattern is negative, into +0.0
-    lo, hi = (int(np.float64(x + 0.0).view(np.int64)) for x in (b_lo, b_hi))
-
-    def omega(patterns):
-        return palindromic_roots(epsilon, patterns.view(np.float64)).real.max(axis=-1)
-
-    while hi - lo > _SCAN_ULPS:
-        patterns = np.array([lo + k * (hi - lo) // (_ZOOM - 1) for k in range(_ZOOM)])
-        k = int(np.argmin(omega(patterns)))
-        lo, hi = int(patterns[max(k - 1, 0)]), int(patterns[min(k + 1, _ZOOM - 1)])
+    lo, hi = _bracket(epsilon, _pattern(b_lo), _pattern(b_hi),
+                      lambda lo, hi: hi - lo <= _SCAN_ULPS)
     patterns = np.arange(lo, hi + 1, dtype=np.int64)
-    values = omega(patterns)
+    values = _omega(epsilon, patterns)
     k = int(np.argmin(values))
     return float(patterns.view(np.float64)[k]), float(values[k])
 
@@ -391,9 +417,11 @@ def optimal_coupling(epsilon: float) -> tuple[float, float]:
     """Optimal coupling and best growth bound for epsilon in [0, 1).
 
     Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4), the closed form
-    cross-checked by numerical minimization of the growth bound over
-    [0, ``_SCAN_B_MAX``] = [0, 10]; a minimizer more than 1e-6 away
-    raises ArithmeticError.
+    cross-checked numerically: the bracketing of :func:`minimize_growth_bound`
+    over [0, ``_SCAN_B_MAX``] = [0, 10], stopped once the bracket is at most
+    ``_CHECK_WIDTH`` = 1e-7 wide (seven levels of 64 points), contains that
+    search's exact argmin; a bracket midpoint more than 1e-6 away from
+    (1+eps)/2 raises ArithmeticError.
 
     Rejects epsilon >= 1, where no decay regime exists.
     """
@@ -401,9 +429,11 @@ def optimal_coupling(epsilon: float) -> tuple[float, float]:
         raise ValueError(f"optimal coupling requires 0 <= epsilon < 1, got {epsilon}")
     eta = (1.0 + epsilon) / 2.0
     omega = (epsilon - 1.0) / 4.0
-    b_opt, _ = minimize_growth_bound(epsilon, 0.0, _SCAN_B_MAX)
-    if abs(b_opt - eta) > 1e-6:
+    lo, hi = _bracket(epsilon, 0, _pattern(_SCAN_B_MAX),
+                      lambda lo, hi: _float(hi) - _float(lo) <= _CHECK_WIDTH)
+    b_mid = 0.5 * (_float(lo) + _float(hi))
+    if abs(b_mid - eta) > 1e-6:
         raise ArithmeticError(
-            f"numerical minimizer {b_opt!r} disagrees with (1+eps)/2 = {eta!r}"
+            f"numerical minimizer {b_mid!r} disagrees with (1+eps)/2 = {eta!r}"
         )
     return eta, omega

@@ -269,9 +269,82 @@ def test_optimal_coupling_reference_values():
 
 
 def test_optimal_coupling_raises_when_the_search_disagrees_with_the_closed_form(monkeypatch):
-    monkeypatch.setattr(spectrum, "minimize_growth_bound", lambda eps, lo, hi: (0.76, -0.12))
+    at = spectrum._pattern(0.76)
+    monkeypatch.setattr(spectrum, "_bracket", lambda eps, lo, hi, done: (at, at))
     with pytest.raises(ArithmeticError, match="minimizer 0.76 disagrees with .* = 0.75"):
         optimal_coupling(0.5)
+
+
+@pytest.mark.parametrize("shift,raises", [(1.2e-6, True), (-1.2e-6, True), (8e-7, False), (-8e-7, False)])
+def test_optimal_coupling_catches_a_closed_form_moved_by_its_tolerance(monkeypatch, shift, raises):
+    # the search moved by -shift is the closed form moved by shift against it
+    bracket = spectrum._bracket
+
+    def moved(epsilon, lo, hi, done):
+        return tuple(spectrum._pattern(spectrum._float(x) - shift) for x in bracket(epsilon, lo, hi, done))
+
+    monkeypatch.setattr(spectrum, "_bracket", moved)
+    for eps in (0.0, 0.5, 0.99):
+        if raises:
+            with pytest.raises(ArithmeticError, match="disagrees"):
+                optimal_coupling(eps)
+        else:
+            assert optimal_coupling(eps) == ((1.0 + eps) / 2.0, (eps - 1.0) / 4.0)
+
+
+# 200 log-uniform values in [1e-6, 0.999], and the ends of [0, 1)
+ORACLE_EPS = [
+    *(10.0 ** np.random.default_rng(22).uniform(-6, math.log10(0.999), 200)).tolist(),
+    0.0, 1e-300, 1.0 - 2.0 ** -52,
+]
+
+
+def recorded_couplings(monkeypatch) -> list[np.ndarray]:
+    """The b argument of every later ``spectrum.palindromic_roots`` call."""
+    seen = []
+
+    def recording(epsilon, b, mu=1.0):
+        seen.append(np.array(b))
+        return palindromic_roots(epsilon, b, mu)
+
+    monkeypatch.setattr(spectrum, "palindromic_roots", recording)
+    return seen
+
+
+def test_optimal_coupling_bracket_holds_the_exact_argmin(monkeypatch):
+    brackets = []
+    bracket = spectrum._bracket
+
+    def recording(*args):
+        brackets.append(bracket(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr(spectrum, "_bracket", recording)
+    for eps in ORACLE_EPS:
+        optimal_coupling(eps)
+        lo, hi = (spectrum._float(x) for x in brackets[-1])
+        b_opt, _ = minimize_growth_bound(eps, 0.0, 10.0)
+        assert lo <= b_opt <= hi and hi - lo <= 1e-7, eps
+
+
+def test_optimal_coupling_work_is_bounded(monkeypatch):
+    calls = recorded_couplings(monkeypatch)
+    for eps in ORACLE_EPS:
+        calls.clear()
+        optimal_coupling(eps)
+        assert len(calls) <= 7 and max(np.size(b) for b in calls) <= 64, eps
+
+
+@pytest.mark.parametrize("b_lo,b_hi", [(0.0, 10.0), (0.0, 1e300), (1e-9, 2e-9), (0.7, 0.70000000000001)])
+def test_bracket_levels_equal_the_python_int_grid(monkeypatch, b_lo, b_hi):
+    levels = recorded_couplings(monkeypatch)
+    lo, hi = spectrum._pattern(b_lo), spectrum._pattern(b_hi)
+    spectrum._bracket(0.5, lo, hi, lambda lo, hi: hi - lo < 64)
+    assert levels and [levels[0][0], levels[0][-1]] == [b_lo, b_hi]
+    for b in levels:
+        patterns = b.view(np.int64).tolist()
+        lo, hi = patterns[0], patterns[-1]
+        assert patterns == [lo + k * (hi - lo) // 63 for k in range(64)]
 
 
 def test_optimal_coupling_rejects_non_decaying_range():
