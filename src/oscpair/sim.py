@@ -16,11 +16,14 @@ the step itself, W = (S^T S - I)/2, as (A + A^T)/2 = diag(0, -1, 0,
 epsilon), and checks the step's traces against the closed-form spectrum;
 a gap past 1e-6, or a norm past 1e100, raises a typed error.
 
-Every matrix exponential goes through the module name ``expm``, which
-imports ``scipy.linalg`` on its first call: ``import oscpair`` loads
-numpy and the standard library only, so the spectral entry points never
-pay for scipy.  Only :func:`propagator` and :func:`norm_growth_fit` call
-it; trajectories and the periodicity check reach it through the first.
+Every matrix exponential goes through the private ``_expm``, which runs
+scipy's scaling-and-squaring path (Al-Mohy & Higham 2009) on one 4x4
+matrix by calling its two compiled Padé kernels, without the per-call
+wrapper of ``scipy.linalg.expm``; the result is bit-identical.  The
+kernels are imported on the first call: ``import oscpair`` loads numpy
+and the standard library only, so the spectral entry points never pay
+for scipy.  Only :func:`propagator` and :func:`norm_growth_fit` call it;
+trajectories and the periodicity check reach it through the first.
 """
 
 from __future__ import annotations
@@ -65,24 +68,40 @@ _FIT_SAMPLES = 400  # norm_growth_fit's sample times
 _RATIO_TOL, _RECURRENCE_TOL, _SCAN_T_MAX = 1e-14, 1e-6, 200.0
 
 
-class _LazyExpm:
-    """``scipy.linalg.expm``, imported on the first call and kept."""
+@functools.cache
+def _pade_kernels():
+    """scipy's compiled kernels ``pick_pade_structure`` and ``pade_UV_calc``."""
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-    def __init__(self) -> None:
-        self._expm = None
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        if self._expm is None:
-            from scipy.linalg import expm
-
-            self._expm = expm
-        return self._expm(a)
+    return pick_pade_structure, pade_UV_calc
 
 
-# An instance, not a def: perfbench's tracer wraps ``sim.expm`` by name and,
-# separately, every public function of the package, so a def would be
-# counted twice per call.
-expm = _LazyExpm()
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for one float 4x4 matrix, bit-identical to ``scipy.linalg.expm``.
+
+    It is scipy's generic path: ``pick_pade_structure`` picks the Padé
+    order m and scales the powers of a by 2^-s in a (5, 4, 4) workspace,
+    ``pade_UV_calc`` overwrites its first slot with the Padé approximant,
+    and s squarings follow.  scipy's diagonal and triangular shortcuts are
+    left out: a system matrix times t > 0 has entries on both sides of the
+    diagonal, and at t = 0 the generic path gives the same identity.
+    Raises MemoryError or RuntimeError on a kernel's error code, as scipy does.
+    """
+    pick, pade = _pade_kernels()
+    work = np.empty((5, 4, 4))
+    work[0] = a
+    m, s = pick(work)
+    if m < 0:
+        raise MemoryError(f"matrix exponential could not allocate the Padé structure (code {m})")
+    info = pade(work, m)
+    if info <= -11:
+        raise MemoryError(f"matrix exponential could not allocate its workspace (code {info})")
+    if info != 0:
+        raise RuntimeError(f"matrix exponential got an internal LAPACK error (code {info})")
+    out = work[0]
+    for _ in range(s):
+        out = out @ out
+    return out if s else out.copy()
 
 
 class IntegrationError(RuntimeError):
@@ -141,15 +160,29 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     IntegrationError when the norm of S(t) passes 1e100.  The norm is at
     most 4 times the largest entry, so it is computed here only when that
     entry passes 2.5e99, and kept in the sample; otherwise it is computed
-    on the sample's first read.
+    on the sample's first read.  A non-finite S(t) is an overflow only
+    where the spectrum lets the norm pass 1e100, omega* t >= ln(1e100), or
+    the spectrum itself is not finite; otherwise it is a step that double
+    precision cannot resolve, and the IntegrationError says so.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m = expm(t * assemble_matrix(p))
+        m = _expm(t * assemble_matrix(p))
     sample = PropagatorSample(t=t, matrix=m)
     if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
-        nrm = sample.operator_norm if np.isfinite(m).all() else math.inf
+        finite = np.isfinite(m).all()
+        if not finite:
+            try:
+                rate = classify(p).omega_star
+            except ArithmeticError:  # the spectrum itself overflows: no bound to keep S(t) in
+                rate = math.inf
+            if rate * t < math.log(_NORM_OVERFLOW):
+                raise IntegrationError(
+                    f"propagator S(t) is not finite at t={t:g}: "
+                    "the step cannot be resolved at double precision"
+                )
+        nrm = sample.operator_norm if finite else math.inf
         if nrm > _NORM_OVERFLOW:
             raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
     return sample
@@ -352,7 +385,7 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     m = assemble_matrix(p)
     ts, dt = np.linspace(t_max / 2.0, t_max, _FIT_SAMPLES, retstep=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _march(expm(dt * m), expm(ts[0] * m), _FIT_SAMPLES - 1)
+        stack = _march(_expm(dt * m), _expm(ts[0] * m), _FIT_SAMPLES - 1)
     finite = np.isfinite(stack).all(axis=(1, 2))
     norms = np.full(_FIT_SAMPLES, math.inf)
     norms[finite] = operator_norm(stack[finite])

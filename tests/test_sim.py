@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -158,6 +159,30 @@ def test_propagator_overflow_raises_without_lapack_noise(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("p, t", [(Params(1.0, 1e22), 1.0), (Params(1.0, 1e150), 1.0),
+                                  (Params(0.0, 1.7e308), 7.0)], ids=repr)
+def test_propagator_reports_a_nan_exponential_of_a_bounded_system_as_unresolvable(p, t):
+    # the system is bounded or decays (omega* <= 0), but t*A is too large for
+    # scaling-and-squaring: S(t) is NaN, and no overflow is to blame
+    assert classify(p).omega_star <= 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as info:
+            propagator(p, t)
+    assert str(info.value) == (
+        f"propagator S(t) is not finite at t={t:g}: the step cannot be resolved at double precision"
+    )
+
+
+@pytest.mark.parametrize("p, t", [(Params(2.0, 1.0), 1e4), (Params(1.7e308, 1.7e308), 1.0)],
+                         ids=repr)
+def test_propagator_reports_true_blowup_as_overflow(p, t):
+    # omega* t passes ln(1e100), or the spectrum itself is not finite
+    with pytest.raises(IntegrationError) as info:
+        propagator(p, t)
+    assert str(info.value) == f"propagator norm inf exceeds overflow guard at t={t:g}"
+
+
 def test_propagator_guard_raises_exactly_where_the_norm_passes_the_bound():
     # around t* = 283.77 at (2, 1) the largest entry, about 8e99, sits in the
     # band (2.5e99, 1e100] where only the SVD decides
@@ -166,7 +191,7 @@ def test_propagator_guard_raises_exactly_where_the_norm_passes_the_bound():
     band = raised = 0
     for t in np.concatenate((np.linspace(283.0, 284.5, 2001), [290.0, 1e3, 1e4])).tolist():
         with np.errstate(over="ignore", invalid="ignore"):
-            m = sim.expm(t * a)
+            m = sim._expm(t * a)
         nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
         band += bool(2.5e99 < np.abs(m).max() <= 1e100)
         if nrm > 1e100:
@@ -294,9 +319,9 @@ def _loop_march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
 
 # decaying, bounded, blow-up; and a stiff step whose 8th power passes 1e150
 MARCH_STEPS = {
-    "decay": sim.expm(0.1 * assemble_matrix(Params(0.5, 0.75))),
-    "bounded": sim.expm(0.1 * assemble_matrix(Params(1.0, 2.0))),
-    "blowup": sim.expm(0.1 * assemble_matrix(Params(2.0, 1.0))),
+    "decay": sim._expm(0.1 * assemble_matrix(Params(0.5, 0.75))),
+    "bounded": sim._expm(0.1 * assemble_matrix(Params(1.0, 2.0))),
+    "blowup": sim._expm(0.1 * assemble_matrix(Params(2.0, 1.0))),
     "stiff": np.diag([1e20, 1e-20, 1.5, 0.5]),
 }
 
@@ -448,8 +473,9 @@ def test_integrate_shortest_window_keeps_the_initial_state():
 
 
 def test_integrate_step_whose_bound_overflows_raises_integration_error():
-    # dt * A overflows the exponential, and propagator's guard flags the step
-    with pytest.raises(IntegrationError, match="exceeds overflow guard at t=1.7e\\+308$"):
+    # dt * A overflows the exponential of a decaying system, and propagator
+    # reports the non-finite step as one it cannot resolve
+    with pytest.raises(IntegrationError, match="not finite at t=1.7e\\+308: the step cannot be resolved"):
         integrate(Params(0.5, 1.0), State(1, 0, 0, 0), 1.7e308, samples=1)
 
 
@@ -479,8 +505,8 @@ def test_integrate_resolves_exact_blowup_steps(eps, b, t_end, samples):
 
 @pytest.mark.parametrize("delta, flagged", [(1e-5, True), (1e-8, False)])
 def test_integrate_flags_a_scaled_step(monkeypatch, delta, flagged):
-    inner = sim.expm
-    monkeypatch.setattr(sim, "expm", lambda a: inner(a) * (1.0 + delta))
+    inner = sim._expm
+    monkeypatch.setattr(sim, "_expm", lambda a: inner(a) * (1.0 + delta))
     p, z0 = Params(0.5, 0.75), State(1, 0, 0, 0)
     if flagged:
         with pytest.raises(IntegrationError, match="step too long to resolve at dt=0.05: trace gap"):
@@ -802,15 +828,16 @@ def test_periodicity_verdict_for_generic_coupling_is_not_a_crash():
 def test_periodicity_nan_recurrence_gap_raises_without_warnings():
     # S(T) is all NaN at b = 1e150, and a NaN gap used to pass; the
     # recurrence check reads S(T) from propagator, whose guard flags the NaN
+    # of a bounded system as a step it cannot resolve
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationError, match="exceeds overflow guard"):
+        with pytest.raises(IntegrationError, match="cannot be resolved at double precision"):
             periodic_portrait_check(1e150)
 
 
 def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
-    monkeypatch.setattr(sim, "expm", lambda a: np.full_like(a, math.nan))
-    with pytest.raises(IntegrationError, match="exceeds overflow guard"):
+    monkeypatch.setattr(sim, "_expm", lambda a: np.full_like(a, math.nan))
+    with pytest.raises(IntegrationError, match="cannot be resolved at double precision"):
         periodic_portrait_check(math.sqrt(2.0))
 
 
@@ -890,13 +917,13 @@ def test_spectral_verbs_do_not_load_scipy_linalg(tmp_path):
 
 def counting_expm(monkeypatch):
     calls = []
-    inner = sim.expm
+    inner = sim._expm
 
     def counting(a):
         calls.append(np.shape(a))
         return inner(a)
 
-    monkeypatch.setattr(sim, "expm", counting)
+    monkeypatch.setattr(sim, "_expm", counting)
     return calls
 
 
@@ -917,10 +944,21 @@ def test_every_exponential_goes_through_sim_expm(monkeypatch):
         assert calls == shapes
 
 
-def test_criterion_7_makes_every_scipy_expm_call_through_sim_expm(monkeypatch):
+def test_criterion_7_makes_one_propagator_per_time_and_no_scipy_expm_run(monkeypatch):
+    # as perfbench's tracer self-check counts them: 3 couplings at 1,601
+    # times, one propagator and one _expm each, and scipy's expm wrapper
+    # never runs
     import scipy.linalg
 
-    calls = counting_expm(monkeypatch)
+    exponentials = counting_expm(monkeypatch)
+    propagators = []
+    inner = acceptance.propagator
+
+    def counting(p, t):
+        propagators.append(t)
+        return inner(p, t)
+
+    monkeypatch.setattr(acceptance, "propagator", counting)
     code = scipy.linalg.expm.__code__
     runs = 0
 
@@ -937,4 +975,62 @@ def test_criterion_7_makes_every_scipy_expm_call_through_sim_expm(monkeypatch):
     finally:
         sys.setprofile(previous)
     assert ok
-    assert len(calls) == runs == 3 * 1601
+    assert len(propagators) == len(exponentials) == 3 * 1601
+    assert runs == 0
+
+
+# ---------------------------------------------------------------------------
+# _expm: scipy's Padé kernels without scipy.linalg.expm's wrapper
+# ---------------------------------------------------------------------------
+
+def _system_matrix(eps: float, b: float) -> np.ndarray:
+    """assemble_matrix's layout at any eps, b >= 0, b = 0 included."""
+    a = assemble_matrix(Params(eps, 1.0))
+    a[1, 3], a[3, 1] = b, -b
+    return a
+
+
+def _assert_expm_matches_scipy(a: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
+    with np.errstate(all="ignore"):
+        want, got = scipy.linalg.expm(a), sim._expm(a)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert (np.signbit(got) == np.signbit(want)).all()
+    assert got.base is None and got.flags.writeable
+    return got
+
+
+EXPM_EXTREMES = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e8, 1e100, 1e300, 1.7e308]
+EXPM_EXTREME_TIMES = [0.0, 5e-324, 1e-10, 7.0, 1e4, 1e20, 1e300]
+
+
+def test_expm_is_bit_identical_to_scipy_on_extreme_inputs():
+    nan = 0
+    for eps, b, t in itertools.product(EXPM_EXTREMES, EXPM_EXTREMES, EXPM_EXTREME_TIMES):
+        with np.errstate(over="ignore"):
+            a = t * _system_matrix(eps, b)
+        nan += bool(np.isnan(_assert_expm_matches_scipy(a)).any())
+    assert nan > 0  # scipy's NaN results are among those compared
+
+
+def test_expm_is_bit_identical_to_scipy_on_random_inputs():
+    rng = np.random.default_rng(23)
+    for eps, b, t in 10.0 ** rng.uniform(-6.0, 6.0, size=(3000, 3)):
+        _assert_expm_matches_scipy(t * _system_matrix(eps, b))
+
+
+@pytest.mark.parametrize("m, info, error", [(-1, 0, MemoryError), (3, -11, MemoryError),
+                                            (3, -4, RuntimeError), (3, 2, RuntimeError)])
+def test_expm_raises_on_a_kernel_error_code(monkeypatch, m, info, error):
+    def pick(work):
+        work[0] = 7.0
+        return m, 0
+
+    def pade(work, order):
+        assert order == m
+        return info
+
+    monkeypatch.setattr(sim, "_pade_kernels", lambda: (pick, pade))
+    with pytest.raises(error, match=f"code {min(m, info)}"):
+        sim._expm(np.eye(4))

@@ -190,7 +190,7 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
 # step, and the fit's step and start; the fit and the trajectory march their
 # own grids
 DESIGNED_CALLERS = {
-    "expm": {"sim": ["norm_growth_fit", "propagator"]},
+    "_expm": {"sim": ["norm_growth_fit", "propagator"]},
     "_march": {"sim": ["integrate", "norm_growth_fit"]},
 }
 
@@ -199,6 +199,42 @@ DESIGNED_CALLERS = {
 def test_exponentials_and_marches_run_only_where_designed(callee):
     found = {path.stem: callers(path.read_text(), callee) for path in SOURCES}
     assert {module: names for module, names in found.items() if names} == DESIGNED_CALLERS[callee]
+
+
+def scipy_importers(source: str) -> list[str]:
+    """Top-level defs and classes whose bodies import from scipy, and
+    ``<module>`` for such an import outside all of them."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Import):
+                modules = [a.name for a in sub.names]
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+                modules = [sub.module]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.add(owner)
+    return sorted(found)
+
+
+def test_scipy_import_check_finds_module_nested_and_aliased_imports():
+    source = (
+        "import scipy.linalg as sl\n"
+        "import scipyx\n"
+        "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n"
+        "def g():\n    def inner():\n        import scipy\n    return inner\n"
+        "def h():\n    from .scipy import x\n    return x\n"
+        "class C:\n    def m(self):\n        import numpy, scipy.special\n"
+    )
+    assert scipy_importers(source) == ["<module>", "C", "f", "g"]
+
+
+def test_scipy_is_imported_only_by_the_exponential_kernel_loader():
+    # import oscpair loads numpy only; the first matrix exponential loads scipy
+    found = {path.stem: scipy_importers(path.read_text()) for path in SOURCES}
+    assert {module: names for module, names in found.items() if names} == {"sim": ["_pade_kernels"]}
 
 
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
