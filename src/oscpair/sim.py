@@ -161,9 +161,10 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     most 4 times the largest entry, so it is computed here only when that
     entry passes 2.5e99, and kept in the sample; otherwise it is computed
     on the sample's first read.  A non-finite S(t) is an overflow only
-    where the spectrum lets the norm pass 1e100, omega* t >= ln(1e100), or
-    the spectrum itself is not finite; otherwise it is a step that double
-    precision cannot resolve, and the IntegrationError says so.
+    where the spectrum lets the norm pass 1e100, omega* t + d ln t >=
+    ln(1e100) with d the defect penalty (t > 1), or the spectrum itself is
+    not finite; otherwise it is a step that double precision cannot
+    resolve, and the IntegrationError says so.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
@@ -173,11 +174,12 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
         finite = np.isfinite(m).all()
         if not finite:
-            try:
-                rate = classify(p).omega_star
+            try:  # log of the envelope e^(omega* t) t^d of the norm
+                regime = classify(p)
+                growth = regime.omega_star * t + regime.defect_penalty * math.log(max(t, 1.0))
             except ArithmeticError:  # the spectrum itself overflows: no bound to keep S(t) in
-                rate = math.inf
-            if rate * t < math.log(_NORM_OVERFLOW):
+                growth = math.inf
+            if growth < math.log(_NORM_OVERFLOW):
                 raise IntegrationError(
                     f"propagator S(t) is not finite at t={t:g}: "
                     "the step cannot be resolved at double precision"

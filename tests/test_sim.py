@@ -160,7 +160,8 @@ def test_propagator_overflow_raises_without_lapack_noise(capfd):
 
 
 @pytest.mark.parametrize("p, t", [(Params(1.0, 1e22), 1.0), (Params(1.0, 1e150), 1.0),
-                                  (Params(0.0, 1.7e308), 7.0)], ids=repr)
+                                  (Params(0.0, 1.7e308), 7.0), (Params(1.0, 1.0), 1e50)],
+                         ids=repr)
 def test_propagator_reports_a_nan_exponential_of_a_bounded_system_as_unresolvable(p, t):
     # the system is bounded or decays (omega* <= 0), but t*A is too large for
     # scaling-and-squaring: S(t) is NaN, and no overflow is to blame
@@ -174,10 +175,11 @@ def test_propagator_reports_a_nan_exponential_of_a_bounded_system_as_unresolvabl
     )
 
 
-@pytest.mark.parametrize("p, t", [(Params(2.0, 1.0), 1e4), (Params(1.7e308, 1.7e308), 1.0)],
-                         ids=repr)
+@pytest.mark.parametrize("p, t", [(Params(2.0, 1.0), 1e4), (Params(1.7e308, 1.7e308), 1.0),
+                                  (Params(1.0, 1.0), 1e120)], ids=repr)
 def test_propagator_reports_true_blowup_as_overflow(p, t):
-    # omega* t passes ln(1e100), or the spectrum itself is not finite
+    # omega* t + d ln t passes ln(1e100), or the spectrum itself is not finite;
+    # at (1, 1) omega* = 0 and the norm grows like t^1
     with pytest.raises(IntegrationError) as info:
         propagator(p, t)
     assert str(info.value) == f"propagator norm inf exceeds overflow guard at t={t:g}"
