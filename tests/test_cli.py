@@ -212,6 +212,14 @@ def test_figure_start_whose_energy_overflows_is_a_numerical_failure(tmp_path, ca
     assert err == "numerical failure: state norm exceeds overflow guard at t=0\n"
 
 
+def test_figure_on_a_lapack_error_code_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    pick = sim._pade_kernels()[0]
+    monkeypatch.setattr(sim, "_pade_kernels", lambda: (pick, lambda work, m: 2))
+    code, _, err = run_cli(capsys, "figure", "fig1", "--out", str(tmp_path / "f1"))
+    assert code == 2
+    assert err.startswith("numerical failure:") and "code 2" in err
+
+
 def test_fig8_decays_over_a_long_window(tmp_path, capsys):
     # dt = 1e6/1200: the step decays to about 1e-31, and the states with it
     argv = ["figure", "fig8", "--t-end", "1e6", "--out", str(tmp_path / "f8")]

@@ -1022,6 +1022,25 @@ def test_expm_is_bit_identical_to_scipy_on_random_inputs():
         _assert_expm_matches_scipy(t * _system_matrix(eps, b))
 
 
+def test_propagator_is_bit_identical_to_scipy_on_criterion_7s_grid():
+    # bounded pairs at large |tA| take the deepest squarings: check every one
+    # criterion 7 runs, and that the grid does reach 10 squarings
+    import scipy.linalg
+
+    pick = sim._pade_kernels()[0]
+    work = np.empty((5, 4, 4))
+    deepest = 0
+    for b in (10.0, 50.0, 200.0):
+        a = assemble_matrix(Params(1.0, b))
+        for t in np.linspace(0.0, 20.0, 1601):
+            got, want = propagator(Params(1.0, b), float(t)).matrix, scipy.linalg.expm(t * a)
+            assert np.array_equal(got, want)
+            assert (np.signbit(got) == np.signbit(want)).all()
+            work[0] = t * a
+            deepest = max(deepest, pick(work)[1])
+    assert deepest >= 10
+
+
 @pytest.mark.parametrize("m, info, error", [(-1, 0, MemoryError), (3, -11, MemoryError),
                                             (3, -4, RuntimeError), (3, 2, RuntimeError)])
 def test_expm_raises_on_a_kernel_error_code(monkeypatch, m, info, error):
