@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     p_fig = sub.add_parser("figure", help="write a figure CSV and plot script")
     p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--out", default=None, help="output stem (default: figure id)")
-    p_fig.add_argument("--q", type=float, default=4.0, help="rational parameter for fig2")
+    p_fig.add_argument("--q", type=float, default=None, help="fig2 only, default 4")
     p_fig.add_argument("--t-end", type=float, default=None)
     p_fig.add_argument("--z0", type=_parse_state, default=None)
 
@@ -117,12 +117,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.q is not None and args.figure_id != "fig2":
+        raise _UsageError(f"--q sets fig2's coupling; {args.figure_id} takes none")
     spec = default_figure_spec(
         args.figure_id,
         output_stem=args.out,
-        q=args.q,
         t_end=args.t_end,
         z0=args.z0,
+        **({} if args.q is None else {"q": args.q}),
     )
     csv_path, plot_path = write_figure(spec)
     print(f"wrote {csv_path}")

@@ -24,8 +24,8 @@ wrapper of ``scipy.linalg.expm``, and does the squarings with
 the result is bit-identical.  The kernels are imported on the first
 call: ``import oscpair`` loads numpy and the standard library only, so
 the spectral entry points never pay for scipy.  Only :func:`propagator`
-and :func:`norm_growth_fit` call it; trajectories and the periodicity
-check reach it through the first.
+calls it; trajectories and the growth fit take their step S(dt) from it
+through ``_step``, which adds the trace check.
 """
 
 from __future__ import annotations
@@ -230,12 +230,22 @@ def _trace_gap(p: Params, dt: float, step: np.ndarray) -> float:
     relative to 1 + the sum of |exp(k lambda dt)|, lambda from the closed form.
 
     Traces do not see the Jordan structure, so defective steps compare
-    exactly; under :func:`propagator`'s 1e100 guard neither sum overflows.
+    exactly.
     """
     with np.errstate(all="ignore"):  # a NaN gap fails the caller's check
         e = np.exp(palindromic_roots(p.epsilon, p.b) * dt)
-    return float(max(abs(np.trace(s) - np.sum(f)) / (1.0 + np.sum(np.abs(f)))
-                     for s, f in ((step, e), (step @ step, e * e))))
+        return float(max(abs(np.trace(s) - np.sum(f)) / (1.0 + np.sum(np.abs(f)))
+                         for s, f in ((step, e), (step @ step, e * e))))
+
+
+def _step(p: Params, dt: float) -> np.ndarray:
+    """The step S(dt) from :func:`propagator`, refused as too long to resolve
+    when its :func:`_trace_gap` from the closed-form spectrum passes 1e-6."""
+    step = propagator(p, dt).matrix
+    gap = _trace_gap(p, dt, step)
+    if not gap <= _TRACE_GAP_CAP:
+        raise IntegrationError(f"step too long to resolve at dt={dt:g}: trace gap {gap:.3e}")
+    return step
 
 
 def integrate(
@@ -260,10 +270,7 @@ def integrate(
         raise ValueError(f"samples must be >= 1, got {samples}")
 
     dt = t_end / samples
-    step = propagator(p, dt).matrix
-    gap = _trace_gap(p, dt, step)
-    if not gap <= _TRACE_GAP_CAP:
-        raise IntegrationError(f"step too long to resolve at dt={dt:g}: trace gap {gap:.3e}")
+    step = _step(p, dt)
     gram = 0.5 * (step.T @ step - np.eye(4))
 
     times = np.linspace(0.0, t_end, samples + 1)
@@ -368,8 +375,10 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     ExpBlowup, min(60, 100/omega*): the norm grows like exp(omega* t), so
     it stays well under the 1e100 overflow guard.
 
-    The grid is stepped exactly, S(t + dt) = S(dt) S(t), and the norms
-    come from one :func:`operator_norm` call on the stack.
+    The grid is stepped exactly, S(t + dt) = S(dt) S(t), from S(t_max/2)
+    by :func:`propagator` with the step S(dt) that :func:`integrate` takes,
+    checked against the closed-form spectrum; the norms come from one
+    :func:`operator_norm` call on the stack.
 
     When the dominant eigenvalues are regular and complex, the norm
     oscillates periodically around its envelope and a plain least-squares
@@ -381,7 +390,10 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     rounding level, and its refit stays on the trend.
 
     Raises ValueError unless ``t_max`` is finite and > 0, and FitError if
-    a sampled norm exceeds 1e100 or the fit residual exceeds ``_MAX_RMS`` = 1.
+    a sampled norm exceeds 1e100 or underflows to 0, if S(t_max/2) or the
+    step cannot be resolved at double precision (the message is
+    :func:`propagator`'s or :func:`integrate`'s), or if the fit residual
+    exceeds ``_MAX_RMS`` = 1.
     """
     if t_max is None:
         regime = classify(p)
@@ -389,10 +401,13 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
         t_max = min(60.0, 100.0 / regime.omega_star) if blowup else 200.0
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    m = assemble_matrix(p)
     ts, dt = np.linspace(t_max / 2.0, t_max, _FIT_SAMPLES, retstep=True)
+    try:
+        start, step = propagator(p, t_max / 2.0).matrix, _step(p, dt)
+    except IntegrationError as exc:
+        raise FitError(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _march(_expm(dt * m), _expm(ts[0] * m), _FIT_SAMPLES - 1)
+        stack = _march(step, start, _FIT_SAMPLES - 1)
     finite = np.isfinite(stack).all(axis=(1, 2))
     norms = np.full(_FIT_SAMPLES, math.inf)
     norms[finite] = operator_norm(stack[finite])
@@ -400,6 +415,9 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     if over.size:
         k = over[0]
         raise FitError(f"propagator norm {norms[k]:.3e} exceeds overflow guard at t={ts[k]:g}")
+    under = np.flatnonzero(norms == 0.0)
+    if under.size:
+        raise FitError(f"propagator norm underflows to 0 at t={ts[under[0]]:g}")
     logs = np.log(norms)
 
     design = np.column_stack([np.ones_like(ts), np.log1p(ts), ts])

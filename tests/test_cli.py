@@ -267,6 +267,22 @@ def test_figure_rejects_non_finite_q(tmp_path, capsys, q):
     assert code == 1, err
 
 
+@pytest.mark.parametrize("fig", [f"fig{k}" for k in range(1, 10) if k != 2])
+@pytest.mark.parametrize("q", ["4", "0.5", "nan"])
+def test_figure_other_than_fig2_rejects_q(tmp_path, capsys, fig, q):
+    code, _, err = run_cli(capsys, "figure", fig, "--q", q, "--out", str(tmp_path / "f"))
+    assert code == 1 and err == f"usage error: --q sets fig2's coupling; {fig} takes none\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig2_without_q_is_fig2_at_q_4(tmp_path, capsys, monkeypatch):
+    specs = []
+    monkeypatch.setattr(cli, "write_figure", lambda spec: specs.append(spec) or ("a", "b"))
+    assert run_cli(capsys, "figure", "fig2")[0] == 0
+    assert run_cli(capsys, "figure", "fig2", "--q", "4")[0] == 0
+    assert specs[0] == specs[1] and specs[0].params[0].b == math.sqrt(4.0 + 0.25 - 1.0)
+
+
 def test_figure_rejects_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "figure", "fig42")
     assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -517,6 +518,13 @@ def test_integrate_flags_a_scaled_step(monkeypatch, delta, flagged):
         integrate(p, z0, 10.0, samples=200)
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_reports_a_nan_trace_gap_without_warnings():
+    # the step is finite, but exp(lambda dt) overflows, so the gap is NaN
+    with pytest.raises(IntegrationError, match="trace gap nan"):
+        integrate(Params(10.822333437388723, 5.373759869931951e24), State(1, 0, 0, 0), 2.73e11)
+
+
 @pytest.mark.parametrize("p, dt", [(p, 0.05) for p in SIM_GRID]
                          + [(Params(0.5, 1.0), t / 1200) for t in (1e6, 1e8)], ids=repr)
 def test_integrate_trace_gap_is_at_rounding_level(p, dt):
@@ -777,6 +785,52 @@ def test_norm_growth_fit_aborts_on_overflow():
 
     with pytest.raises(FitError, match="overflow"):
         norm_growth_fit(Params(2.0, 1.0), t_max=400.0)
+
+
+def test_norm_growth_fit_takes_its_start_and_step_from_propagator(monkeypatch):
+    times = []
+    inner = sim.propagator
+    monkeypatch.setattr(sim, "propagator", lambda p, t: times.append(t) or inner(p, t))
+    norm_growth_fit(Params(0.5, 0.75), t_max=80.0)
+    assert sorted(times) == [40.0 / (sim._FIT_SAMPLES - 1), 40.0]
+
+
+@pytest.mark.parametrize("p, t_max, message", [
+    # a bounded system whose step of 1.25e11 misses its traces by 7.4e-5
+    (Params(1.0, 2.0), 1e14, "step too long to resolve at dt=1.25313e+11: trace gap"),
+    # S(100) of a bounded system is NaN: not an overflow
+    (Params(1.0, 1e22), None, "not finite at t=100: the step cannot be resolved"),
+    # decay past the smallest double
+    (Params(0.5, 0.75), 1e4, "propagator norm underflows to 0 at t=6052.63"),
+    (Params(0.0, 0.5), 4e3, "propagator norm underflows to 0 at t=3012.53"),
+    (Params(0.5, 2.0), 1e5, "propagator norm underflows to 0 at t=50000"),
+], ids=repr)
+@pytest.mark.filterwarnings("error")
+def test_norm_growth_fit_refuses_what_it_cannot_resolve(p, t_max, message):
+    with pytest.raises(sim.FitError, match=re.escape(message)):
+        norm_growth_fit(p, t_max)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_growth_fit_returns_a_finite_fit_or_fit_error():
+    # seeded over eps in {0, 1, 10^U(-3,3)}, b = 10^U(-3,25) and a default or
+    # 10^U(-2,16) horizon: overflow, underflow and unresolvable steps all occur
+    rng = np.random.default_rng(25)
+    bad = []
+    for _ in range(300):
+        eps = (0.0, 1.0, 10.0 ** rng.uniform(-3, 3))[rng.integers(3)]
+        p = Params(eps, 10.0 ** rng.uniform(-3, 25))
+        t_max = None if rng.random() < 0.5 else 10.0 ** rng.uniform(-2, 16)
+        try:
+            fit = norm_growth_fit(p, t_max)
+        except sim.FitError:
+            continue
+        except Exception as exc:  # an escape is the failure looked for
+            bad.append((p, t_max, repr(exc)))
+            continue
+        if not np.isfinite(fit).all():
+            bad.append((p, t_max, fit))
+    assert bad == []
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2, 3])
