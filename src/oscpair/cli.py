@@ -117,14 +117,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.q is not None and args.figure_id != "fig2":
-        raise _UsageError(f"--q sets fig2's coupling; {args.figure_id} takes none")
     spec = default_figure_spec(
         args.figure_id,
         output_stem=args.out,
+        q=args.q,
         t_end=args.t_end,
         z0=args.z0,
-        **({} if args.q is None else {"q": args.q}),
     )
     csv_path, plot_path = write_figure(spec)
     print(f"wrote {csv_path}")

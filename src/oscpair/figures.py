@@ -116,16 +116,21 @@ def _b_from_q(q: float) -> float:
 def default_figure_spec(
     figure_id: str,
     output_stem: str | None = None,
-    q: float = 4.0,
+    q: float | None = None,
     t_end: float | None = None,
     z0: State | None = None,
 ) -> FigureSpec:
-    """Built-in spec for fig1..fig9, with optional overrides."""
+    """Built-in spec for fig1..fig9, with optional overrides.
+
+    ``q`` is fig2's coupling (default 4); any other figure refuses it.
+    """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}")
+    if q is not None and figure_id != "fig2":
+        raise ValueError(f"q sets fig2's coupling; {figure_id} takes none")
     _, eps, bs, z, t = _CATALOGUE[figure_id]
     if figure_id == "fig2":
-        b = _b_from_q(q)
+        b = _b_from_q(4.0 if q is None else q)
         bs = (b,)
         if t_end is None:  # the period is asked for only when it sets the window
             periodic, period = periodic_portrait_check(b)

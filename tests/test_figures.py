@@ -131,6 +131,12 @@ def test_spec_rejects_an_unknown_figure_id():
         FigureSpec("fig10", FIG8.params, FIG8.z0, 1.0, "x")
 
 
+def test_q_is_fig2s_alone_and_defaults_to_4():
+    with pytest.raises(ValueError, match="q sets fig2's coupling; fig1 takes none"):
+        default_figure_spec("fig1", q=4.0)
+    assert default_figure_spec("fig2") == default_figure_spec("fig2", q=4.0)
+
+
 @pytest.mark.parametrize("t_end", [0.0, math.inf, math.nan])
 def test_spec_rejects_a_window_that_is_not_finite_and_positive(t_end):
     with pytest.raises(ValueError, match="t_end must be finite and > 0"):
