@@ -1,10 +1,16 @@
 """Time-domain engine: propagators, trajectories, growth measurement.
 
-The propagator S(t) = exp(t*A) is evaluated by scaling-and-squaring
-rather than eigendecomposition: the parameter pairs where the spectrum
-is defective, (eps=1, b=1) and (eps<1, b=(1+eps)/2), are exactly the
-interesting ones, and an eigenvector basis degenerates there while the
-matrix exponential does not care.
+The propagator S(t) = exp(t*A) is evaluated in closed form.  The quartic
+is palindromic, so W = A + A^-1 solves w^2 + (1-eps) w + b^2 - eps = 0, of
+roots w+- = (eps-1 +- a)/2, a = sqrt((1+eps)^2 - 4b^2); on the subspace of
+each w, exp(tA) is G(w) = alpha I + beta A over the roots p, q = 1/p of
+lam^2 - w lam + 1, and S(t) = G(w-) + G[w+, w-] (W - w- I) = c0 I + c1 A +
+c2 A^-1 + c3 A^2: four matrices cached per (eps, b), four ``cmath``
+coefficients per t.  Where |a| t < 1 the roots of w+ are paired with those
+of w- for G[w+, w-] (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), exact at
+the defective a = 0; where every root lies within 1/t of their mean, a
+Taylor series of exp(t(A - mean I)) takes over.  No eigenvector basis and
+no matrix exponential: the package loads numpy and the standard library.
 
 The ODE is linear with constant coefficients, so uniform time grids are
 stepped exactly, z_m = S(dt)^m z_0.  The n steps run in blocks of
@@ -15,21 +21,11 @@ A trajectory reads the integral of epsilon*y^2 - x^2 over a step from
 the step itself, W = (S^T S - I)/2, as (A + A^T)/2 = diag(0, -1, 0,
 epsilon), and checks the step's traces against the closed-form spectrum;
 a gap past 1e-6, or a norm past 1e100, raises a typed error.
-
-Every matrix exponential goes through the private ``_expm``, which runs
-scipy's scaling-and-squaring path (Al-Mohy & Higham 2009) on one 4x4
-matrix by calling its two compiled Padé kernels, without the per-call
-wrapper of ``scipy.linalg.expm``, and does the squarings with
-``ndarray.dot``, the same BLAS gemm as ``@`` without the ufunc dispatch;
-the result is bit-identical.  The kernels are imported on the first
-call: ``import oscpair`` loads numpy and the standard library only, so
-the spectral entry points never pay for scipy.  Only :func:`propagator`
-calls it; trajectories and the growth fit take their step S(dt) from it
-through ``_step``, which adds the trace check.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -38,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Params, State, assemble_matrix
+from .core import Params, State
 from .spectrum import RegimeKind, classify, palindromic_roots
 
 __all__ = [
@@ -58,6 +54,9 @@ __all__ = [
 ]
 
 _NORM_OVERFLOW = 1e100
+# largest |lambda| t that _exp_ta resolves, and its Taylor terms, which
+# suffice where every root lies within 1/t of their mean
+_PHASE_CAP, _TAYLOR_TERMS = 2.0**52, 24
 # largest power of a step that _march multiplies by an anchor
 _POWER_CAP = 1e150
 # largest gap of integrate's step traces from the spectrum, relative to their scale
@@ -78,43 +77,101 @@ class FitError(RuntimeError):
     """Norm-growth fit rejected (overflow or excessive residual)."""
 
 
-@functools.cache
-def _pade_kernels():
-    """scipy's compiled kernels ``pick_pade_structure`` and ``pade_UV_calc``."""
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
-    return pick_pade_structure, pade_UV_calc
+def _shc(z: complex) -> complex:
+    """sinh(z)/z, and 1 at z = 0."""
+    return cmath.sinh(z) / z if z else 1.0
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for one float 4x4 matrix, bit-identical to ``scipy.linalg.expm``.
+@functools.lru_cache(maxsize=1024)
+def _structure(eps: float, b: float) -> tuple:
+    """What :func:`_exp_ta` needs of (eps, b): I, A, A^-1 and A^2 as the rows
+    of a (4, 16) array (det A = 1); the mean of w+-; a = w+ - w-; the
+    :func:`_root_pair` of m = w/2 for w+ and w-; whether w- is w+'s
+    conjugate; and the largest |lambda|."""
+    bb, be = b * b, b * eps
+    basis = np.array((
+        1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        0.0, 1.0, 0.0, 0.0, -1.0, -1.0, 0.0, b, 0.0, 0.0, 0.0, 1.0, 0.0, -b, -1.0, eps,
+        -1.0, -1.0, b, 0.0, 1.0, 0.0, 0.0, 0.0, -b, 0.0, eps, -1.0, 0.0, 0.0, 1.0, 0.0,
+        -1.0, -1.0, 0.0, b, 1.0, -bb, -b, be - b, 0.0, -b, -1.0, eps,
+        b, b - be, -eps, eps * eps - bb - 1.0,
+    )).reshape(4, 16)
+    basis.flags.writeable = False
+    half, mean = 0.5 * (1.0 + eps), 0.5 * (eps - 1.0)
+    half_a = cmath.sqrt(half - b) * cmath.sqrt(half + b)  # exactly 0 when b is (1+eps)/2
+    conjugate = half_a.real == 0.0
+    plus = _root_pair(0.5 * (mean + half_a))
+    minus = tuple(x.conjugate() for x in plus) if conjugate else _root_pair(0.5 * (mean - half_a))
+    return basis, mean, 2.0 * half_a, plus, minus, conjugate, max(abs(plus[2]), abs(minus[2]))
 
-    It is scipy's generic path: ``pick_pade_structure`` picks the Padé
-    order m and scales the powers of a by 2^-s in a (5, 4, 4) workspace,
-    ``pade_UV_calc`` overwrites its first slot with the Padé approximant,
-    and s squarings follow.  The squarings call ``ndarray.dot``: the same
-    BLAS gemm as ``@``, at about half the cost of a 4x4 product, as it
-    skips the ufunc dispatch.  scipy's diagonal and triangular shortcuts are
-    left out: a system matrix times t > 0 has entries on both sides of the
-    diagonal, and at t = 0 the generic path gives the same identity.
-    Raises MemoryError on a kernel's allocation code, as scipy does, and
-    IntegrationError (a RuntimeError, as scipy raises) on a LAPACK code.
-    """
-    pick, pade = _pade_kernels()
-    work = np.empty((5, 4, 4))
-    work[0] = a
-    m, s = pick(work)
-    if m < 0:
-        raise MemoryError(f"matrix exponential could not allocate the Padé structure (code {m})")
-    info = pade(work, m)
-    if info <= -11:
-        raise MemoryError(f"matrix exponential could not allocate its workspace (code {info})")
-    if info != 0:
-        raise IntegrationError(f"matrix exponential got an internal LAPACK error (code {info})")
-    out = work[0]
-    for _ in range(s):
-        out = out.dot(out)
-    return out if s else out.copy()
+
+def _root_pair(m: complex) -> tuple[complex, complex, complex, complex]:
+    """m, h = sqrt(m^2 - 1), and the roots p = m + h and q = 1/p of
+    lam^2 - 2m lam + 1, the sign of h making |p| >= |q|."""
+    h = cmath.sqrt((m - 1.0) * (m + 1.0))
+    h = -h if abs(m + h) < abs(m - h) else h
+    return m, h, m + h, 1.0 / (m + h)
+
+
+def _pair_terms(m: complex, h: complex, p: complex, q: complex, t: float) -> tuple:
+    """(alpha, beta) of G(w) = alpha I + beta A, exp(tA) on the roots p, q of w."""
+    ep = cmath.exp(p * t)
+    if abs(h * t) > 0.5:
+        beta = (ep - cmath.exp(q * t)) / (2.0 * h)
+    else:  # (e^{pt} - e^{qt})/(p - q) in sinh form, as p - q = 2h
+        beta = cmath.exp(m * t) * t * _shc(h * t)
+    return ep - p * beta, beta
+
+
+def _taylor(eps: float, b: float, t: float) -> tuple[float, float, float, float]:
+    """(c0, c1, c2, c3) from ``_TAYLOR_TERMS`` terms of exp(tN), N = A - m I
+    for the mean root m, in powers of N reduced by N's characteristic
+    polynomial y^4 + k2 y^2 + k1 y + k0, then in powers of A."""
+    m, c = 0.25 * (eps - 1.0), 2.0 + b * b - eps  # A's quartic: 1, 1-eps, c, 1-eps, 1
+    k2 = c - 6.0 * m * m
+    k1 = (2.0 * c - 8.0 * m * m) * m + 1.0 - eps
+    k0 = ((c - 3.0 * m * m) * m + 1.0 - eps) * m + 1.0
+    r0, r1, r2, r3 = 1.0, 0.0, 0.0, 0.0
+    for k in range(_TAYLOR_TERMS, 0, -1):
+        s = t / k
+        r0, r1, r2, r3 = 1.0 - s * k0 * r3, s * (r0 - k1 * r3), s * (r1 - k2 * r3), s * r2
+    r0, r1, r2, r3 = (math.exp(m * t) * r for r in (r0, r1, r2, r3))
+    # sum r_j (A - m I)^j, with A^3 = (eps-1) A^2 - c A + (eps-1) I - A^-1
+    s0, s1 = r0 - m * (r1 - m * (r2 - m * r3)), r1 - m * (2.0 * r2 - 3.0 * m * r3)
+    return s0 + (eps - 1.0) * r3, s1 - c * r3, -r3, r2 + (eps - 1.0 - 3.0 * m) * r3
+
+
+def _exp_ta(p: Params, t: float) -> np.ndarray:
+    """S(t) = exp(tA) for t >= 0 in closed form (see the module docstring);
+    NaN where an exponential overflows, or where max |lambda| t passes
+    2^52 and the last bit of a phase is a radian or more."""
+    if not t:
+        return np.eye(4)
+    basis, mean, a, plus, minus, conjugate, lam = _structure(p.epsilon, p.b)
+    if not lam * t < _PHASE_CAP:
+        return np.full((4, 4), math.nan)
+    try:
+        ap, bp = _pair_terms(*plus, t)
+        am, bm = (ap.conjugate(), bp.conjugate()) if conjugate else _pair_terms(*minus, t)
+        if abs(a) * t >= 1.0:
+            da, db = (ap - am) / a, (bp - bm) / a
+        else:  # pair the roots p, q of w+ with r, s of w-: h+- aligned, p - r = kp a
+            hp, hm = plus[1], minus[1]
+            hm = -hm if abs(hp + hm) < abs(hp - hm) else hm
+            if (max(abs(hp), abs(hm)) + 0.25 * abs(a)) * t <= 1.0:
+                return np.dot(_taylor(p.epsilon, p.b, t), basis).reshape(4, 4)
+            h, m = 0.5 * (hp + hm), 0.5 * mean
+            kp, km = 0.5 + 0.5 * m / h, 0.5 - 0.5 * m / h
+            fpr = cmath.exp((m + h) * t) * t * _shc(0.5 * kp * a * t)  # f[p, r]
+            fqs = cmath.exp((m - h) * t) * t * _shc(0.5 * km * a * t)  # f[q, s]
+            # beta[w+, w-] = kp f[p, q, r] + km f[q, r, s], and q - r = a/2 - 2h
+            db = (kp * (bp - fpr) + km * (fqs - bm)) / (0.5 * a - 2.0 * h)
+            da = 0.5 * (kp * fpr + km * fqs) - m * db - 0.25 * (bp + bm)
+    except OverflowError:
+        return np.full((4, 4), math.nan)
+    ea, eb = 0.5 * (ap + am), 0.5 * (bp + bm)
+    c = (ea - mean * da + db, eb + da - mean * db, da, db)
+    return np.dot([x.real for x in c], basis).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -158,23 +215,20 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
 
 
 def propagator(p: Params, t: float) -> PropagatorSample:
-    """Propagator S(t) = exp(t*A) by scaling-and-squaring.
+    """Propagator S(t) = exp(t*A) in closed form (see the module docstring).
 
-    Accurate at the defective parameter pairs where eigendecomposition
-    breaks down.  Rejects negative or non-finite t, and raises
-    IntegrationError when the norm of S(t) passes 1e100.  The norm is at
-    most 4 times the largest entry, so it is computed here only when that
-    entry passes 2.5e99, and kept in the sample; otherwise it is computed
-    on the sample's first read.  A non-finite S(t) is an overflow only
-    where the spectrum lets the norm pass 1e100, omega* t + d ln t >=
-    ln(1e100) with d the defect penalty (t > 1), or the spectrum itself is
-    not finite; otherwise it is a step that double precision cannot
-    resolve, and the IntegrationError says so.
+    Rejects negative or non-finite t, and raises IntegrationError when the
+    norm of S(t) passes 1e100.  The norm is at most 4 times the largest
+    entry, so it is computed here only when that entry passes 2.5e99, and
+    kept in the sample.  S(t) is not finite where an exponential overflows
+    or the phase |lambda| t passes 2^52.  That is an overflow only where
+    omega* t + d ln t >= ln(1e100), d the defect penalty (t > 1), or the
+    spectrum is not finite; otherwise the IntegrationError says that double
+    precision cannot resolve the step.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _expm(t * assemble_matrix(p))
+    m = _exp_ta(p, t)
     sample = PropagatorSample(t=t, matrix=m)
     if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
         finite = np.isfinite(m).all()
@@ -240,9 +294,14 @@ def _trace_gap(p: Params, dt: float, step: np.ndarray) -> float:
 
 def _step(p: Params, dt: float) -> np.ndarray:
     """The step S(dt) from :func:`propagator`, refused as too long to resolve
-    when its :func:`_trace_gap` from the closed-form spectrum passes 1e-6."""
+    when its :func:`_trace_gap` from the closed-form spectrum passes 1e-6.
+
+    The gap counts as at least 2^-52 max |lambda| dt: the step and the
+    spectrum round lambda alike, so their traces cannot show that phase error.
+    """
     step = propagator(p, dt).matrix
-    gap = _trace_gap(p, dt, step)
+    # the trace gap first, so that max keeps a NaN
+    gap = max(_trace_gap(p, dt, step), _structure(p.epsilon, p.b)[-1] * dt / _PHASE_CAP)
     if not gap <= _TRACE_GAP_CAP:
         raise IntegrationError(f"step too long to resolve at dt={dt:g}: trace gap {gap:.3e}")
     return step

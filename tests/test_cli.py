@@ -195,6 +195,15 @@ def test_fig2_window_is_the_period_at_large_q(tmp_path, capsys):
     assert block["t"][-1] == pytest.approx(200.0 * math.pi, rel=1e-12)
 
 
+def test_fig2_window_is_the_period_near_q_1(tmp_path, capsys):
+    # q = 1.001: frequencies 1.0005 and 0.9995 close after 1,000 turns, and
+    # S(T) recurs to within 1e-6 at T = 6286.33
+    code, _, err = run_cli(capsys, "figure", "fig2", "--q", "1.001", "--out", str(tmp_path / "f2"))
+    assert (code, err) == (0, "")
+    block = parse_figure_csv(tmp_path / "f2.csv")[0]
+    assert block["t"][-1] == pytest.approx(6286.326114827869, rel=1e-12)
+
+
 @pytest.mark.parametrize("fig", ["fig1", "fig7"])
 def test_figure_start_past_the_energy_cap_writes_empty_blocks(tmp_path, capsys, fig):
     # E0 = 5e119: every block, blow-up ones included, is cut at t = 0
@@ -212,12 +221,11 @@ def test_figure_start_whose_energy_overflows_is_a_numerical_failure(tmp_path, ca
     assert err == "numerical failure: state norm exceeds overflow guard at t=0\n"
 
 
-def test_figure_on_a_lapack_error_code_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    pick = sim._pade_kernels()[0]
-    monkeypatch.setattr(sim, "_pade_kernels", lambda: (pick, lambda work, m: 2))
+def test_figure_on_an_unresolved_exponential_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "_exp_ta", lambda p, t: np.full((4, 4), math.nan))
     code, _, err = run_cli(capsys, "figure", "fig1", "--out", str(tmp_path / "f1"))
     assert code == 2
-    assert err.startswith("numerical failure:") and "code 2" in err
+    assert err.startswith("numerical failure:") and "cannot be resolved at double precision" in err
 
 
 def test_fig8_decays_over_a_long_window(tmp_path, capsys):

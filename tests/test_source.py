@@ -190,7 +190,7 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
 # of a trajectory and of the fit; the fit and the trajectory march their own
 # grids
 DESIGNED_CALLERS = {
-    "_expm": {"sim": ["propagator"]},
+    "_exp_ta": {"sim": ["propagator"]},
     "_march": {"sim": ["integrate", "norm_growth_fit"]},
 }
 
@@ -232,9 +232,9 @@ def test_scipy_import_check_finds_module_nested_and_aliased_imports():
 
 
 def test_scipy_is_imported_only_by_the_exponential_kernel_loader():
-    # import oscpair loads numpy only; the first matrix exponential loads scipy
+    # the propagator is closed-form: no module imports scipy at all
     found = {path.stem: scipy_importers(path.read_text()) for path in SOURCES}
-    assert {module: names for module, names in found.items() if names} == {"sim": ["_pade_kernels"]}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
