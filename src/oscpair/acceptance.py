@@ -167,7 +167,7 @@ def _criterion_7() -> tuple[bool, str]:
     sups = []
     for b in (10.0, 50.0, 200.0):
         p = Params(1.0, b)
-        exact = np.array([propagator(p, float(t)).matrix for t in ts])
+        exact = np.array([propagator(p, t).matrix for t in ts.tolist()])
         sups.append(float(operator_norm(exact - asymptotic_propagator(b, ts)).max()))
     ok = sups[0] > sups[1] > sups[2]
     return ok, "sup differences " + " > ".join(f"{s:.4f}" for s in sups)

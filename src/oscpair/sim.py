@@ -5,12 +5,15 @@ is palindromic, so W = A + A^-1 solves w^2 + (1-eps) w + b^2 - eps = 0, of
 roots w+- = (eps-1 +- a)/2, a = sqrt((1+eps)^2 - 4b^2); on the subspace of
 each w, exp(tA) is G(w) = alpha I + beta A over the roots p, q = 1/p of
 lam^2 - w lam + 1, and S(t) = G(w-) + G[w+, w-] (W - w- I) = c0 I + c1 A +
-c2 A^-1 + c3 A^2: four matrices cached per (eps, b), four ``cmath``
+c2 A^-1 + c3 A^2: four matrices B_i cached per (eps, b), four ``cmath``
 coefficients per t.  Where |a| t < 1 the roots of w+ are paired with those
 of w- for G[w+, w-] (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), exact at
 the defective a = 0; where every root lies within 1/t of their mean, a
-Taylor series of exp(t(A - mean I)) takes over.  No eigenvector basis and
-no matrix exponential: the package loads numpy and the standard library.
+Taylor series of exp(t(A - mean I)) takes over.  The largest |entry| of
+each matrix B_i is cached with it, so sum |c_i| max|B_i| bounds every
+entry of S(t) and the overflow guard reads the entries themselves only
+past that bound.  No eigenvector basis and no matrix exponential: the
+package loads numpy and the standard library.
 
 The ODE is linear with constant coefficients, so uniform time grids are
 stepped exactly, z_m = S(dt)^m z_0.  The n steps run in blocks of
@@ -54,9 +57,13 @@ __all__ = [
 ]
 
 _NORM_OVERFLOW = 1e100
-# largest |lambda| t that _exp_ta resolves, and its Taylor terms, which
+# largest coefficient bound on the entries of S(t) that propagator returns
+# unchecked: under 1e100/4 by a margin that rounding cannot cross
+_COEFFICIENT_BOUND = 2e99
+# largest |lambda| t that _coefficients resolves, and its Taylor terms, which
 # suffice where every root lies within 1/t of their mean
 _PHASE_CAP, _TAYLOR_TERMS = 2.0**52, 24
+_UNRESOLVED = (math.nan,) * 4  # _coefficients of an S(t) it cannot resolve
 # largest power of a step that _march multiplies by an anchor
 _POWER_CAP = 1e150
 # largest gap of integrate's step traces from the spectrum, relative to their scale
@@ -84,10 +91,10 @@ def _shc(z: complex) -> complex:
 
 @functools.lru_cache(maxsize=1024)
 def _structure(eps: float, b: float) -> tuple:
-    """What :func:`_exp_ta` needs of (eps, b): I, A, A^-1 and A^2 as the rows
-    of a (4, 16) array (det A = 1); the mean of w+-; a = w+ - w-; the
-    :func:`_root_pair` of m = w/2 for w+ and w-; whether w- is w+'s
-    conjugate; and the largest |lambda|."""
+    """What :func:`propagator` needs of (eps, b): I, A, A^-1 and A^2 as the
+    rows of a (4, 16) array (det A = 1), and the largest |entry| of each;
+    the mean of w+-; a = w+ - w-; the :func:`_root_pair` of m = w/2 for w+
+    and w-; whether w- is w+'s conjugate; and the largest |lambda|."""
     bb, be = b * b, b * eps
     basis = np.array((
         1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0,
@@ -97,12 +104,14 @@ def _structure(eps: float, b: float) -> tuple:
         b, b - be, -eps, eps * eps - bb - 1.0,
     )).reshape(4, 16)
     basis.flags.writeable = False
+    top = max(1.0, b, eps)  # A and A^-1 have the entries 0, +-1, +-b and eps
+    scale = (1.0, top, top, max(top, bb, abs(be - b), abs(eps * eps - bb - 1.0)))
     half, mean = 0.5 * (1.0 + eps), 0.5 * (eps - 1.0)
     half_a = cmath.sqrt(half - b) * cmath.sqrt(half + b)  # exactly 0 when b is (1+eps)/2
     conjugate = half_a.real == 0.0
     plus = _root_pair(0.5 * (mean + half_a))
     minus = tuple(x.conjugate() for x in plus) if conjugate else _root_pair(0.5 * (mean - half_a))
-    return basis, mean, 2.0 * half_a, plus, minus, conjugate, max(abs(plus[2]), abs(minus[2]))
+    return basis, scale, mean, 2.0 * half_a, plus, minus, conjugate, max(abs(plus[2]), abs(minus[2]))
 
 
 def _root_pair(m: complex) -> tuple[complex, complex, complex, complex]:
@@ -141,15 +150,15 @@ def _taylor(eps: float, b: float, t: float) -> tuple[float, float, float, float]
     return s0 + (eps - 1.0) * r3, s1 - c * r3, -r3, r2 + (eps - 1.0 - 3.0 * m) * r3
 
 
-def _exp_ta(p: Params, t: float) -> np.ndarray:
-    """S(t) = exp(tA) for t >= 0 in closed form (see the module docstring);
-    NaN where an exponential overflows, or where max |lambda| t passes
-    2^52 and the last bit of a phase is a radian or more."""
-    if not t:
-        return np.eye(4)
-    basis, mean, a, plus, minus, conjugate, lam = _structure(p.epsilon, p.b)
+def _coefficients(p: Params, t: float, structure: tuple) -> tuple[float, float, float, float]:
+    """(c0, c1, c2, c3) of S(t) = exp(tA) = c0 I + c1 A + c2 A^-1 + c3 A^2
+    for t > 0 in closed form (see the module docstring), ``structure``
+    being ``_structure(p.epsilon, p.b)``; NaN where an exponential
+    overflows, or where max |lambda| t passes 2^52 and the last bit of a
+    phase is a radian or more."""
+    _, _, mean, a, plus, minus, conjugate, lam = structure
     if not lam * t < _PHASE_CAP:
-        return np.full((4, 4), math.nan)
+        return _UNRESOLVED
     try:
         ap, bp = _pair_terms(*plus, t)
         am, bm = (ap.conjugate(), bp.conjugate()) if conjugate else _pair_terms(*minus, t)
@@ -159,7 +168,7 @@ def _exp_ta(p: Params, t: float) -> np.ndarray:
             hp, hm = plus[1], minus[1]
             hm = -hm if abs(hp + hm) < abs(hp - hm) else hm
             if (max(abs(hp), abs(hm)) + 0.25 * abs(a)) * t <= 1.0:
-                return np.dot(_taylor(p.epsilon, p.b, t), basis).reshape(4, 4)
+                return _taylor(p.epsilon, p.b, t)
             h, m = 0.5 * (hp + hm), 0.5 * mean
             kp, km = 0.5 + 0.5 * m / h, 0.5 - 0.5 * m / h
             fpr = cmath.exp((m + h) * t) * t * _shc(0.5 * kp * a * t)  # f[p, r]
@@ -168,10 +177,9 @@ def _exp_ta(p: Params, t: float) -> np.ndarray:
             db = (kp * (bp - fpr) + km * (fqs - bm)) / (0.5 * a - 2.0 * h)
             da = 0.5 * (kp * fpr + km * fqs) - m * db - 0.25 * (bp + bm)
     except OverflowError:
-        return np.full((4, 4), math.nan)
+        return _UNRESOLVED
     ea, eb = 0.5 * (ap + am), 0.5 * (bp + bm)
-    c = (ea - mean * da + db, eb + da - mean * db, da, db)
-    return np.dot([x.real for x in c], basis).reshape(4, 4)
+    return (ea - mean * da + db).real, (eb + da - mean * db).real, da.real, db.real
 
 
 @dataclass(frozen=True)
@@ -219,33 +227,45 @@ def propagator(p: Params, t: float) -> PropagatorSample:
 
     Rejects negative or non-finite t, and raises IntegrationError when the
     norm of S(t) passes 1e100.  The norm is at most 4 times the largest
-    entry, so it is computed here only when that entry passes 2.5e99, and
-    kept in the sample.  S(t) is not finite where an exponential overflows
-    or the phase |lambda| t passes 2^52.  That is an overflow only where
+    entry, and no entry passes the coefficient bound sum |c_i| max|B_i|
+    over the four matrices B_i = I, A, A^-1, A^2, cached with them, by more
+    than rounding.  So S(t) is returned at once while that bound is at
+    most 2e99; past it, the largest entry is read, the norm is computed
+    only when that entry passes 2.5e99, and it is kept in the sample.
+    S(t) is not finite where an exponential overflows or the phase
+    |lambda| t passes 2^52.  That is an overflow only where
     omega* t + d ln t >= ln(1e100), d the defect penalty (t > 1), or the
     spectrum is not finite; otherwise the IntegrationError says that double
     precision cannot resolve the step.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
-    m = _exp_ta(p, t)
+    if not t:
+        return PropagatorSample(t=t, matrix=np.eye(4))
+    structure = _structure(p.epsilon, p.b)
+    c0, c1, c2, c3 = c = _coefficients(p, t, structure)
+    s0, s1, s2, s3 = structure[1]
+    m = np.dot(c, structure[0]).reshape(4, 4)
     sample = PropagatorSample(t=t, matrix=m)
-    if not np.abs(m).max() <= _NORM_OVERFLOW / 4.0:  # the negation also flags NaN
-        finite = np.isfinite(m).all()
-        if not finite:
-            try:  # log of the envelope e^(omega* t) t^d of the norm
-                regime = classify(p)
-                growth = regime.omega_star * t + regime.defect_penalty * math.log(max(t, 1.0))
-            except ArithmeticError:  # the spectrum itself overflows: no bound to keep S(t) in
-                growth = math.inf
-            if growth < math.log(_NORM_OVERFLOW):
-                raise IntegrationError(
-                    f"propagator S(t) is not finite at t={t:g}: "
-                    "the step cannot be resolved at double precision"
-                )
-        nrm = sample.operator_norm if finite else math.inf
-        if nrm > _NORM_OVERFLOW:
-            raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
+    # a NaN bound or entry fails its test
+    if (abs(c0) * s0 + abs(c1) * s1 + abs(c2) * s2 + abs(c3) * s3 <= _COEFFICIENT_BOUND
+            or np.abs(m).max() <= _NORM_OVERFLOW / 4.0):
+        return sample
+    finite = np.isfinite(m).all()
+    if not finite:
+        try:  # log of the envelope e^(omega* t) t^d of the norm
+            regime = classify(p)
+            growth = regime.omega_star * t + regime.defect_penalty * math.log(max(t, 1.0))
+        except ArithmeticError:  # the spectrum itself overflows: no bound to keep S(t) in
+            growth = math.inf
+        if growth < math.log(_NORM_OVERFLOW):
+            raise IntegrationError(
+                f"propagator S(t) is not finite at t={t:g}: "
+                "the step cannot be resolved at double precision"
+            )
+    nrm = sample.operator_norm if finite else math.inf
+    if nrm > _NORM_OVERFLOW:
+        raise IntegrationError(f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}")
     return sample
 
 
@@ -419,7 +439,10 @@ class FitResult(NamedTuple):
 
 
 def _trend_lstsq(design: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, float]:
-    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    """Least-squares trend and its rms residual; FitError unless the design has full rank."""
+    coef, _, rank, _ = np.linalg.lstsq(design, logs, rcond=None)
+    if rank < design.shape[1]:
+        raise FitError(f"norm-growth fit is rank-deficient: rank {rank} < {design.shape[1]}")
     rms = float(np.sqrt(np.mean((design @ coef - logs) ** 2)))
     return coef, rms
 
@@ -451,8 +474,10 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     Raises ValueError unless ``t_max`` is finite and > 0, and FitError if
     a sampled norm exceeds 1e100 or underflows to 0, if S(t_max/2) or the
     step cannot be resolved at double precision (the message is
-    :func:`propagator`'s or :func:`integrate`'s), or if the fit residual
-    exceeds ``_MAX_RMS`` = 1.
+    :func:`propagator`'s or :func:`integrate`'s), if the fit or a refit
+    has rank below 3 (a window so short that lstsq cannot tell log(1+t)
+    from t, or either from a constant), or if the fit residual exceeds
+    ``_MAX_RMS`` = 1.
     """
     if t_max is None:
         regime = classify(p)

@@ -222,7 +222,7 @@ def test_figure_start_whose_energy_overflows_is_a_numerical_failure(tmp_path, ca
 
 
 def test_figure_on_an_unresolved_exponential_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sim, "_exp_ta", lambda p, t: np.full((4, 4), math.nan))
+    monkeypatch.setattr(sim, "_coefficients", lambda p, t, structure: (math.nan,) * 4)
     code, _, err = run_cli(capsys, "figure", "fig1", "--out", str(tmp_path / "f1"))
     assert code == 2
     assert err.startswith("numerical failure:") and "cannot be resolved at double precision" in err

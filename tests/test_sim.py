@@ -186,24 +186,87 @@ def test_propagator_reports_true_blowup_as_overflow(p, t):
     assert str(info.value) == f"propagator norm inf exceeds overflow guard at t={t:g}"
 
 
-def test_propagator_guard_raises_exactly_where_the_norm_passes_the_bound():
-    # around t* = 283.77 at (2, 1) the largest entry, about 8e99, sits in the
-    # band (2.5e99, 1e100] where only the SVD decides
-    p = Params(2.0, 1.0)
-    band = raised = 0
-    for t in np.concatenate((np.linspace(283.0, 284.5, 2001), [290.0, 1e3, 1e4])).tolist():
-        m = sim._exp_ta(p, t)
-        nrm = operator_norm(m) if np.isfinite(m).all() else math.inf
+def unguarded(p: Params, t: float) -> tuple[np.ndarray, float]:
+    """S(t) for t > 0 as :func:`propagator` builds it before its guard, and
+    its coefficient bound sum |c_i| max|B_i|, summed as propagator sums it."""
+    structure = sim._structure(p.epsilon, p.b)
+    c = sim._coefficients(p, t, structure)
+    return np.dot(c, structure[0]).reshape(4, 4), sum(abs(x) * s for x, s in zip(c, structure[1]))
+
+
+def test_structure_caches_the_largest_entry_of_each_matrix():
+    rng = np.random.default_rng(3)
+    for eps, b in [(0.0, 1e-3), (1.0, 1.0), (5.0, 3.0), (1e6, 1.0), (0.5, 1e150)] + [
+        (10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)) for _ in range(200)
+    ]:
+        basis, scale = sim._structure(eps, b)[:2]
+        assert scale == tuple(np.abs(basis).max(axis=1).tolist())
+
+
+def _guard_grid() -> list[tuple[Params, float]]:
+    """Seeded (p, t) over the closed form's three branches, both defective
+    curves, the quadruple root, eps = 1 up to b = 1e3, and (2, 1) around
+    t* = 283.77, where the largest entry, about 8e99, sits in the band
+    (2.5e99, 1e100] where only the SVD decides."""
+    rng = np.random.default_rng(9)
+
+    def times(n, lo=-4.0, hi=3.0):
+        return (10.0 ** rng.uniform(lo, hi, n)).tolist()
+
+    def near(x, n):  # x, or x moved by a relative 1e-12 to 1e-3 either way
+        sign = rng.choice([0.0, 1.0, -1.0], n)
+        return (x * (1.0 + sign * 10.0 ** rng.uniform(-12, -3, n))).tolist()
+
+    grid = []
+    for e in (0.0, 0.5, 1.0, 2.0, 5.0, 3.0 * rng.random()):  # b = (1+eps)/2
+        grid += [(Params(e, b), t) for b, t in zip(near(0.5 * (1.0 + e), 60), times(60, hi=3.5))]
+    for e in (2.5, 4.0, 7.0):  # b^2 = 3 eps - 6
+        grid += [(Params(e, b), t) for b, t in zip(near(math.sqrt(3.0 * e - 6.0), 60), times(60))]
+    grid += [(Params(e, 3.0), t) for e, t in zip(near(5.0, 120), times(120, -6.0, 2.0))]
+    grid += [(Params(1.0, b), t) for b, t in zip((10.0 ** rng.uniform(-1, 3, 300)).tolist(), times(300))]
+    eps, b = (10.0 ** rng.uniform(-3, 1.5, 400)).tolist(), (10.0 ** rng.uniform(-3, 3, 400)).tolist()
+    grid += [(Params(e, c), t) for e, c, t in zip(eps, b, times(400))]
+    band = np.concatenate((np.linspace(283.0, 284.5, 2001), [290.0, 1e3, 1e4]))
+    grid += [(Params(2.0, 1.0), t) for t in band.tolist()]
+    # NaN coefficients: a phase past 2^52 on a bounded system, and overflow
+    grid += [(Params(1.0, 1e22), 100.0), (Params(1.0, 1e150), 1.0), (Params(1.0, 1.0), 1e120)]
+    return grid
+
+
+def test_propagator_guard_raises_exactly_where_the_norm_passes_the_bound(monkeypatch):
+    # on every point the coefficient bound bounds S(t) up to the rounding of
+    # its sums, far inside the gap between 2e99 and 2.5e99; propagator
+    # returns S(t) bit for bit or raises as the full check of S(t) would
+    taylor, inner = [], sim._taylor
+    monkeypatch.setattr(sim, "_taylor", lambda *a: taylor.append(1) or inner(*a))
+    band = raised = paired = quotient = 0
+    for p, t in _guard_grid():
+        m, bound = unguarded(p, t)
+        if np.isfinite(m).all():
+            assert np.abs(m).max() <= bound * (1.0 + 2.0**-50), (p, t)
+            nrm = operator_norm(m)
+            want = f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}"
+        else:
+            regime = classify(p)
+            growth = regime.omega_star * t + regime.defect_penalty * math.log(max(t, 1.0))
+            nrm = math.inf
+            want = (f"propagator norm inf exceeds overflow guard at t={t:g}" if growth >= math.log(1e100)
+                    else f"propagator S(t) is not finite at t={t:g}: "
+                    "the step cannot be resolved at double precision")
         band += bool(2.5e99 < np.abs(m).max() <= 1e100)
         if nrm > 1e100:
             raised += 1
-            want = f"propagator norm {nrm:.3e} exceeds overflow guard at t={t:g}"
             with pytest.raises(IntegrationError) as info:
                 propagator(p, t)
             assert str(info.value) == want
         else:
             np.testing.assert_array_equal(propagator(p, t).matrix, m)
+        small = abs(sim._structure(p.epsilon, p.b)[3]) * t < 1.0
+        paired += small
+        quotient += not small
+    paired -= len(taylor) // 2  # unguarded and propagator each took the series
     assert band > 100 and 100 < raised < 1900
+    assert min(len(taylor) // 2, paired, quotient) > 100, (len(taylor), paired, quotient)
 
 
 def test_propagator_sample_computes_its_norm_once_on_first_read(monkeypatch):
@@ -506,8 +569,9 @@ def test_integrate_resolves_exact_blowup_steps(eps, b, t_end, samples):
 
 @pytest.mark.parametrize("delta, flagged", [(1e-5, True), (1e-8, False)])
 def test_integrate_flags_a_scaled_step(monkeypatch, delta, flagged):
-    inner = sim._exp_ta
-    monkeypatch.setattr(sim, "_exp_ta", lambda p, t: inner(p, t) * (1.0 + delta))
+    # S(t) is linear in its coefficients: scaling them scales the step
+    inner = sim._coefficients
+    monkeypatch.setattr(sim, "_coefficients", lambda *a: tuple(c * (1.0 + delta) for c in inner(*a)))
     p, z0 = Params(0.5, 0.75), State(1, 0, 0, 0)
     if flagged:
         with pytest.raises(IntegrationError, match="step too long to resolve at dt=0.05: trace gap"):
@@ -811,6 +875,22 @@ def test_norm_growth_fit_refuses_what_it_cannot_resolve(p, t_max, message):
         norm_growth_fit(p, t_max)
 
 
+@pytest.mark.parametrize("t_max, rank", [(1e-300, 1), (1e-100, 1), (1e-20, 1), (1e-12, 2), (1e-8, 2)])
+def test_norm_growth_fit_refuses_a_rank_deficient_window(t_max, rank):
+    # omega* is -0.125 here; these windows used to fit rate 0 or about 0.25
+    with pytest.raises(sim.FitError, match=f"^norm-growth fit is rank-deficient: rank {rank} < 3$"):
+        norm_growth_fit(Params(0.5, 0.75), t_max)
+
+
+def test_norm_growth_fit_refuses_a_rank_deficient_peak_refit(monkeypatch):
+    # the first fit has full rank, and the refit through the peaks is refused
+    inner = sim._trend_lstsq
+    monkeypatch.setattr(sim, "_trend_lstsq", lambda design, logs: inner(
+        design if len(design) == sim._FIT_SAMPLES else design * [1.0, 0.0, 1.0], logs))
+    with pytest.raises(sim.FitError, match="^norm-growth fit is rank-deficient: rank 2 < 3$"):
+        norm_growth_fit(Params(0.5, 0.75))
+
+
 @pytest.mark.filterwarnings("error")
 def test_norm_growth_fit_returns_a_finite_fit_or_fit_error():
     # seeded over eps in {0, 1, 10^U(-3,3)}, b = 10^U(-3,25) and a default or
@@ -892,7 +972,7 @@ def test_periodicity_nan_recurrence_gap_raises_without_warnings():
 
 
 def test_periodicity_non_finite_aperiodic_orbit_raises(monkeypatch):
-    monkeypatch.setattr(sim, "_exp_ta", lambda p, t: np.full((4, 4), math.nan))
+    monkeypatch.setattr(sim, "_coefficients", lambda p, t, structure: (math.nan,) * 4)
     with pytest.raises(IntegrationError, match="cannot be resolved at double precision"):
         periodic_portrait_check(math.sqrt(2.0))
 
@@ -992,13 +1072,13 @@ def test_accept_and_every_figure_load_no_scipy_module(tmp_path):
 
 def counting_exponentials(monkeypatch):
     calls = []
-    inner = sim._exp_ta
+    inner = sim._coefficients
 
-    def counting(p, t):
+    def counting(p, t, structure):
         calls.append(t)
-        return inner(p, t)
+        return inner(p, t, structure)
 
-    monkeypatch.setattr(sim, "_exp_ta", counting)
+    monkeypatch.setattr(sim, "_coefficients", counting)
     return calls
 
 

@@ -190,7 +190,7 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
 # of a trajectory and of the fit; the fit and the trajectory march their own
 # grids
 DESIGNED_CALLERS = {
-    "_exp_ta": {"sim": ["propagator"]},
+    "_coefficients": {"sim": ["propagator"]},
     "_march": {"sim": ["integrate", "norm_growth_fit"]},
 }
 
