@@ -212,13 +212,26 @@ class Trajectory:
 def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     """Largest singular value of a matrix (a float), or of each in a stack (..., n, n).
 
-    Bit-identical to ``np.linalg.norm(matrix, 2, axis=(-2, -1))`` at lower
-    call overhead.  Raises ValueError on any inf or NaN entry.
+    sigma_max = 2^k sqrt(lambda_max(X^T X)) for X = 2^-k M, k the binary
+    exponent of M's largest |entry|, with every lambda_max from one batched
+    ``eigvalsh``.  Scaling by a power of two is exact and puts the largest
+    |entry| of X in [1/2, 1), so X^T X cannot overflow and lambda_max, at
+    least 1/4, cannot underflow, for any finite M; the result is within
+    8 units of roundoff (2^-53) of the exact norm on the tested matrices,
+    clustered top singular values included.  Raises ValueError on a
+    complex or non-finite entry, or on input of fewer than 2 dimensions.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
+    if m.ndim < 2:
+        raise ValueError(f"operator norm needs a matrix or a stack of matrices, got shape {m.shape}")
+    if np.iscomplexobj(m):
+        raise ValueError("operator norm of a complex matrix")
+    m = m.astype(float, copy=False)
     if not np.isfinite(m).all():
         raise ValueError("operator norm of a matrix with non-finite entries")
-    top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    k = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1][..., None, None]
+    x = np.ldexp(m, -k)
+    top = np.ldexp(np.sqrt(np.linalg.eigvalsh(x.mT @ x)[..., -1]), k[..., 0, 0])
     return float(top) if m.ndim == 2 else top
 
 
@@ -238,15 +251,15 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     spectrum is not finite; otherwise the IntegrationError says that double
     precision cannot resolve the step.
     """
-    if not math.isfinite(t) or t < 0.0:
+    if not 0.0 < t < math.inf:
+        if t == 0.0:
+            return PropagatorSample(t, np.eye(4))
         raise ValueError(f"propagator time must be finite and >= 0, got {t}")
-    if not t:
-        return PropagatorSample(t=t, matrix=np.eye(4))
     structure = _structure(p.epsilon, p.b)
     c0, c1, c2, c3 = c = _coefficients(p, t, structure)
     s0, s1, s2, s3 = structure[1]
     m = np.dot(c, structure[0]).reshape(4, 4)
-    sample = PropagatorSample(t=t, matrix=m)
+    sample = PropagatorSample(t, m)
     # a NaN bound or entry fails its test
     if (abs(c0) * s0 + abs(c1) * s1 + abs(c2) * s2 + abs(c3) * s3 <= _COEFFICIENT_BOUND
             or np.abs(m).max() <= _NORM_OVERFLOW / 4.0):

@@ -228,6 +228,16 @@ def test_figure_on_an_unresolved_exponential_is_a_numerical_failure(tmp_path, ca
     assert err.startswith("numerical failure:") and "cannot be resolved at double precision" in err
 
 
+def test_figure_lapack_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which maps to exit 1
+    def failing(spec):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "write_figure", failing)
+    code, _, err = run_cli(capsys, "figure", "fig1", "--out", str(tmp_path / "f1"))
+    assert (code, err) == (2, "numerical failure: SVD did not converge\n")
+
+
 def test_fig8_decays_over_a_long_window(tmp_path, capsys):
     # dt = 1e6/1200: the step decays to about 1e-31, and the states with it
     argv = ["figure", "fig8", "--t-end", "1e6", "--out", str(tmp_path / "f8")]

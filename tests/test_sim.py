@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -49,9 +50,58 @@ def test_operator_norm_matches_lapack_svd():
         assert operator_norm(m) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def exact_norm(m: np.ndarray) -> mpmath.mpf:
+    """Largest singular value of a float matrix in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return max(mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False))
+
+
+def _orthogonal(rng: np.random.Generator) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+
+def _hard_norm_cases() -> list[np.ndarray]:
+    """Seeded 4x4 matrices at scales 1e-300 to 1e300, with clustered top
+    singular values, of ranks 1 and 2, and with rows graded from 1e-150 to 1e150."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(60):
+        cases.append(rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-300, 300))
+    for _ in range(60):
+        gap = 10.0 ** rng.uniform(-16, -4)
+        s = np.array([1.0, 1.0 - gap, 1.0 - 2.0 * gap, rng.uniform(0.0, 1.0)])
+        cases.append(_orthogonal(rng) * s @ _orthogonal(rng).T * 10.0 ** rng.uniform(-200, 200))
+    for rank in (1, 2):
+        for _ in range(30):
+            low = sum(np.outer(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(rank))
+            cases.append(low * 10.0 ** rng.uniform(-100, 100))
+    for _ in range(60):
+        rows = 10.0 ** np.sort(rng.uniform(-150, 150, 4))[::-1]
+        cases.append(rows[:, None] * rng.standard_normal((4, 4)))
+    for _ in range(60):
+        cases.append(rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-300, 300, (4, 4)))
+    return cases
+
+
+HARD_NORM_CASES = _hard_norm_cases()
+
+
+def test_operator_norm_is_within_8_units_of_roundoff_of_the_exact_norm():
+    # the Gram route is accurate in the relative sense at every scale: the
+    # power-of-two scaling keeps X^T X clear of overflow and underflow
+    got = operator_norm(np.stack(HARD_NORM_CASES))
+    assert len(got) == 300
+    for m, one in zip(HARD_NORM_CASES, got.tolist()):
+        exact = exact_norm(m)
+        assert abs(mpmath.mpf(one) - exact) <= 8 * 2.0**-53 * exact, (m, one, exact)
+        assert operator_norm(m) == one
+
+
 def test_operator_norm_degenerate_inputs():
     assert operator_norm(np.eye(4)) == 1.0
     assert operator_norm(np.zeros((4, 4))) == 0.0
+    assert operator_norm(np.eye(4) * 2.0**-1070) == 2.0**-1070
+    assert operator_norm(np.eye(4) * 2.0**1020) == 2.0**1020
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -59,6 +109,20 @@ def test_operator_norm_rejects_non_finite_input(bad):
     m = np.eye(4)
     m[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(m)
+
+
+@pytest.mark.parametrize("m", [1j * np.eye(4), np.eye(4) + 0j, [[1.0, 2j], [0.0, 1.0]]],
+                         ids=["1j_eye", "eye_plus_0j", "list"])
+def test_operator_norm_rejects_complex_input(m):
+    # a cast to float would drop the imaginary parts: |1j I| = 1, not 0
+    with pytest.raises(ValueError, match="complex"):
+        operator_norm(m)
+
+
+@pytest.mark.parametrize("m", [3.0, np.ones(4), []], ids=["scalar", "vector", "empty_list"])
+def test_operator_norm_rejects_input_of_fewer_than_two_dimensions(m):
+    with pytest.raises(ValueError, match="needs a matrix or a stack of matrices"):
         operator_norm(m)
 
 
@@ -71,18 +135,22 @@ NORM_STACKS = {
     "one_deep": _RNG.standard_normal((1, 4, 4)),
     "empty": np.zeros((0, 4, 4)),
 }
+EXACT_STACK_NORMS = {"zero": 0.0, "identity": 1.0}
 
 
 @pytest.mark.parametrize("name", NORM_STACKS)
-def test_operator_norm_of_a_stack_is_bit_equal_to_numpy(name):
+def test_operator_norm_of_a_stack_is_the_norm_of_each_matrix(name):
     stack = NORM_STACKS[name]
     got = operator_norm(stack)
     assert isinstance(got, np.ndarray) and got.shape == stack.shape[:-2]
-    np.testing.assert_array_equal(got, np.linalg.norm(stack, 2, axis=(-2, -1)))
     for idx in np.ndindex(stack.shape[:-2]):
         one = operator_norm(stack[idx])
-        assert type(one) is float
-        assert one == got[idx] == np.linalg.norm(stack[idx], 2)
+        assert type(one) is float and one == got[idx]
+        if name in EXACT_STACK_NORMS:
+            assert one == EXACT_STACK_NORMS[name]
+        else:
+            exact = exact_norm(stack[idx])
+            assert abs(mpmath.mpf(one) - exact) <= 8 * 2.0**-53 * exact
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -95,9 +163,33 @@ def test_operator_norm_rejects_a_stack_with_any_non_finite_entry(bad, where):
 
 
 def test_operator_norm_returns_a_python_float_for_one_matrix():
-    for m in (np.eye(4), np.zeros((4, 4)), [[3.0, 0.0], [0.0, -4.0]], NORM_STACKS["near_1e100"][0]):
+    near = NORM_STACKS["near_1e100"][0]
+    for m, want in ((np.eye(4), 1.0), (np.zeros((4, 4)), 0.0), ([[3.0, 0.0], [0.0, -4.0]], 4.0),
+                    (near, exact_norm(near))):
         got = operator_norm(m)
-        assert type(got) is float and got == np.linalg.norm(m, 2)
+        assert type(got) is float and abs(mpmath.mpf(got) - want) <= 8 * 2.0**-53 * want
+
+
+def test_operator_norm_agrees_with_lapack_on_the_propagators_it_measures():
+    # criterion 7's difference matrices and the guard band of (2, 1) near
+    # t* = 283.77, where the norm decides the overflow guard.  Each route is
+    # within 8 units of roundoff of the exact norm (LAPACK's SVD errs by up
+    # to 7.6 here, the Gram route by up to 7.8), so the two agree within 16
+    ts = np.linspace(0.0, 20.0, 1601)
+    stacks = [np.array([propagator(Params(1.0, b), t).matrix for t in ts.tolist()])
+              - asymptotic_propagator(b, ts) for b in (10.0, 50.0, 200.0)]
+    band = np.linspace(283.0, 284.5, 2001).tolist()
+    stacks.append(np.array([unguarded(Params(2.0, 1.0), t)[0] for t in band]))
+    assert sum(map(len, stacks)) == 4803 + 2001
+    for stack in stacks:
+        got, want = operator_norm(stack), np.linalg.norm(stack, 2, axis=(-2, -1))
+        assert np.all(np.abs(got - want) <= 16 * 2.0**-53 * want)
+        for m, one in zip(stack[1::16], got[1::16].tolist()):
+            exact = exact_norm(m)
+            assert abs(mpmath.mpf(one) - exact) <= 8 * 2.0**-53 * exact
+    # the guard raises on the same times
+    np.testing.assert_array_equal(got > 1e100, want > 1e100)
+    assert 0 < np.count_nonzero(got > 1e100) < len(band)
 
 
 def test_norm_growth_fit_takes_its_norms_from_one_operator_norm_call(monkeypatch):
@@ -207,7 +299,7 @@ def _guard_grid() -> list[tuple[Params, float]]:
     """Seeded (p, t) over the closed form's three branches, both defective
     curves, the quadruple root, eps = 1 up to b = 1e3, and (2, 1) around
     t* = 283.77, where the largest entry, about 8e99, sits in the band
-    (2.5e99, 1e100] where only the SVD decides."""
+    (2.5e99, 1e100] where only the operator norm decides."""
     rng = np.random.default_rng(9)
 
     def times(n, lo=-4.0, hi=3.0):
@@ -289,7 +381,7 @@ def test_propagator_sample_computes_its_norm_once_on_first_read(monkeypatch):
 
 def test_propagator_keeps_the_norm_its_overflow_guard_computed(monkeypatch):
     # at (2, 1), t = 283 the largest entry lies in (2.5e99, 1e100], so the
-    # guard needs the SVD; the first read must reuse it
+    # guard needs the operator norm; the first read must reuse it
     calls = []
     inner = sim.operator_norm
 
