@@ -231,7 +231,7 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
         raise ValueError("operator norm of a matrix with non-finite entries")
     k = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1][..., None, None]
     x = np.ldexp(m, -k)
-    top = np.ldexp(np.sqrt(np.linalg.eigvalsh(x.mT @ x)[..., -1]), k[..., 0, 0])
+    top = np.ldexp(np.sqrt(np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)[..., -1]), k[..., 0, 0])
     return float(top) if m.ndim == 2 else top
 
 

@@ -160,18 +160,25 @@ def test_no_dead_private_names():
     assert dead_private_names({path.stem: path.read_text() for path in SOURCES}) == []
 
 
-def callers(source: str, callee: str) -> list[str]:
+def callers(source: str, callee: str, where=lambda call: True) -> list[str]:
     """Top-level defs and classes whose bodies call ``callee``, by plain name
-    or as an attribute, and ``<module>`` for a call outside all of them."""
+    or as an attribute, and ``<module>`` for a call outside all of them;
+    only calls for which ``where(call)`` holds count."""
     found = set()
     for node in ast.parse(source).body:
         owner = getattr(node, "name", "<module>")
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call) and callee in (
                 getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
-            ):
+            ) and where(sub):
                 found.add(owner)
     return sorted(found)
+
+
+def ord_2(call: ast.Call) -> bool:
+    """Whether a call passes ord 2, as its second argument or a keyword."""
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
 
 
 def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
@@ -184,6 +191,12 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
         "x = expm(0)\n"
     )
     assert callers(source, "expm") == ["<module>", "C", "f", "g"]
+    norms = (
+        "def f(m):\n    return np.linalg.norm(m, 2), np.linalg.norm(m), np.linalg.norm(m, 1)\n"
+        "def g(m):\n    return np.linalg.norm(m, ord=2)\n"
+        "def h(z):\n    return np.linalg.norm(z, axis=1), np.linalg.norm(z, ord=1)\n"
+    )
+    assert callers(norms, "norm", ord_2) == ["f", "g"]
 
 
 # one exponential path: a propagator, which is also the step and the start
@@ -201,45 +214,20 @@ def test_exponentials_and_marches_run_only_where_designed(callee):
     assert {module: names for module, names in found.items() if names} == DESIGNED_CALLERS[callee]
 
 
-def operator_norm_calls(source: str) -> list[str]:
-    """Top-level defs and classes whose bodies call a routine that yields a
-    matrix 2-norm: ``svd``, ``eigvalsh``, or ``norm`` with ord 2 (second
-    argument or keyword), and ``<module>`` for a call outside all of them."""
-    found = set()
-    for node in ast.parse(source).body:
-        owner = getattr(node, "name", "<module>")
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
-            ords = sub.args[1:2] + [k.value for k in sub.keywords if k.arg == "ord"]
-            two = any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
-            if name in ("svd", "eigvalsh") or (name == "norm" and two):
-                found.add(owner)
-    return sorted(found)
+# one owner of sigma_max, sim.operator_norm; the eigensolver oracle
+# spectrum.eigenvalue_defect keeps its own SVD rank test and 2-norm
+NORM_CALLERS = {
+    "eigvalsh": {"sim": ["operator_norm"]},
+    "norm": {"spectrum": ["eigenvalue_defect"]},
+    "svd": {"spectrum": ["eigenvalue_defect"]},
+}
 
 
-def test_operator_norm_call_check_finds_svd_eigvalsh_and_ord_2_norms():
-    source = (
-        "import numpy as np\n"
-        "def f(m):\n    return np.linalg.svd(m, compute_uv=False)\n"
-        "def g(m):\n    return np.linalg.norm(m, 2), np.linalg.norm(m), np.linalg.norm(m, 1)\n"
-        "def h(m):\n    return np.linalg.norm(m, ord=2)\n"
-        "def k(m):\n    from numpy.linalg import eigvalsh\n    return eigvalsh(m)\n"
-        "def v(z):\n    return np.linalg.norm(z, axis=1), svdx(z)\n"
-        "x = np.linalg.norm(np.eye(2), 2)\n"
-    )
-    assert operator_norm_calls(source) == ["<module>", "f", "g", "h", "k"]
-
-
-def test_operator_norms_have_one_owner():
-    # sim.operator_norm computes every sigma_max; the eigensolver oracle
-    # eigenvalue_defect keeps its own SVD rank test
-    found = {path.stem: operator_norm_calls(path.read_text()) for path in SOURCES}
-    assert {module: names for module, names in found.items() if names} == {
-        "sim": ["operator_norm"],
-        "spectrum": ["eigenvalue_defect"],
-    }
+@pytest.mark.parametrize("callee", sorted(NORM_CALLERS))
+def test_operator_norms_have_one_owner(callee):
+    where = ord_2 if callee == "norm" else (lambda call: True)
+    found = {path.stem: callers(path.read_text(), callee, where) for path in SOURCES}
+    assert {module: names for module, names in found.items() if names} == NORM_CALLERS[callee]
 
 
 def scipy_importers(source: str) -> list[str]:
