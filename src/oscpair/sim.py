@@ -10,10 +10,13 @@ coefficients per t.  Where |a| t < 1 the roots of w+ are paired with those
 of w- for G[w+, w-] (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), exact at
 the defective a = 0; where every root lies within 1/t of their mean, a
 Taylor series of exp(t(A - mean I)) takes over.  The largest |entry| of
-each matrix B_i is cached with it, so sum |c_i| max|B_i| bounds every
+each matrix B_i is cached with it, so cb = sum |c_i| max|B_i| bounds every
 entry of S(t) and the overflow guard reads the entries themselves only
 past that bound.  No eigenvector basis and no matrix exponential: the
 package loads numpy and the standard library.
+
+One accuracy rule covers every S(t): :func:`propagator` refuses one whose
+error bound passes 1e-6 (1 + cb), and trajectories and fits step with it.
 
 The ODE is linear with constant coefficients, so uniform time grids are
 stepped exactly, z_m = S(dt)^m z_0.  The n steps run in blocks of
@@ -22,8 +25,7 @@ take one product each and every other state comes from one batched
 product, so a grid costs about 2 sqrt(n) Python-level products, not n.
 A trajectory reads the integral of epsilon*y^2 - x^2 over a step from
 the step itself, W = (S^T S - I)/2, as (A + A^T)/2 = diag(0, -1, 0,
-epsilon), and checks the step's traces against the closed-form spectrum;
-a gap past 1e-6, or a norm past 1e100, raises a typed error.
+epsilon); a norm past 1e100 raises a typed error.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Params, State
-from .spectrum import RegimeKind, classify, palindromic_roots
+from .spectrum import RegimeKind, classify
 
 __all__ = [
     "IntegrationError",
@@ -66,8 +68,8 @@ _PHASE_CAP, _TAYLOR_TERMS = 2.0**52, 24
 _UNRESOLVED = (math.nan,) * 4  # _coefficients of an S(t) it cannot resolve
 # largest power of a step that _march multiplies by an anchor
 _POWER_CAP = 1e150
-# largest gap of integrate's step traces from the spectrum, relative to their scale
-_TRACE_GAP_CAP = 1e-6
+# largest error bound sigma of an S(t) that propagator returns, relative to 1 + cb
+_RESOLUTION_TOL = 1e-6
 _MAX_RMS = 1.0  # largest rms residual of norm_growth_fit's trend
 _FIT_SAMPLES = 400  # norm_growth_fit's sample times
 # periodic_portrait_check: relative frequency-ratio tolerance, times the
@@ -77,7 +79,7 @@ _RATIO_TOL, _RECURRENCE_TOL, _SCAN_T_MAX = 1e-14, 1e-6, 200.0
 
 
 class IntegrationError(RuntimeError):
-    """Time stepping failed: overflow past the 1e100 guard, or a failed recurrence."""
+    """Time stepping failed: overflow past 1e100, an unresolvable S(t), or a failed recurrence."""
 
 
 class FitError(RuntimeError):
@@ -94,7 +96,9 @@ def _structure(eps: float, b: float) -> tuple:
     """What :func:`propagator` needs of (eps, b): I, A, A^-1 and A^2 as the
     rows of a (4, 16) array (det A = 1), and the largest |entry| of each;
     the mean of w+-; a = w+ - w-; the :func:`_root_pair` of m = w/2 for w+
-    and w-; whether w- is w+'s conjugate; and the largest |lambda|."""
+    and w-; whether w- is w+'s conjugate; kappa, the largest of 1 and |m/h|
+    over both pairs (inf at a double root); 2^-1022 times the sum of the
+    largest |entries|; and the largest |lambda|."""
     bb, be = b * b, b * eps
     basis = np.array((
         1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0,
@@ -106,12 +110,16 @@ def _structure(eps: float, b: float) -> tuple:
     basis.flags.writeable = False
     top = max(1.0, b, eps)  # A and A^-1 have the entries 0, +-1, +-b and eps
     scale = (1.0, top, top, max(top, bb, abs(be - b), abs(eps * eps - bb - 1.0)))
-    half, mean = 0.5 * (1.0 + eps), 0.5 * (eps - 1.0)
-    half_a = cmath.sqrt(half - b) * cmath.sqrt(half + b)  # exactly 0 when b is (1+eps)/2
+    one = 1.0 + eps  # one + err = 1 + eps exactly (two-sum): (1+eps)/2 - b keeps its digits
+    err = (1.0 - (one - eps)) + (eps - (one - (one - eps)))
+    half, mean = 0.5 * one, 0.5 * (eps - 1.0)
+    half_a = cmath.sqrt(half - b + 0.5 * err) * cmath.sqrt(half + b)  # 0 at b = (1+eps)/2
     conjugate = half_a.real == 0.0
     plus = _root_pair(0.5 * (mean + half_a))
     minus = tuple(x.conjugate() for x in plus) if conjugate else _root_pair(0.5 * (mean - half_a))
-    return basis, scale, mean, 2.0 * half_a, plus, minus, conjugate, max(abs(plus[2]), abs(minus[2]))
+    kappa = max(1.0, *(abs(m / h) if h else math.inf for m, h, _, _ in (plus, minus)))
+    floor, lam = 2.0**-1022 * sum(scale), max(abs(plus[2]), abs(minus[2]))
+    return basis, scale, mean, 2.0 * half_a, plus, minus, conjugate, kappa, floor, lam
 
 
 def _root_pair(m: complex) -> tuple[complex, complex, complex, complex]:
@@ -156,7 +164,7 @@ def _coefficients(p: Params, t: float, structure: tuple) -> tuple[float, float, 
     being ``_structure(p.epsilon, p.b)``; NaN where an exponential
     overflows, or where max |lambda| t passes 2^52 and the last bit of a
     phase is a radian or more."""
-    _, _, mean, a, plus, minus, conjugate, lam = structure
+    _, _, mean, a, plus, minus, conjugate, _, _, lam = structure
     if not lam * t < _PHASE_CAP:
         return _UNRESOLVED
     try:
@@ -218,8 +226,10 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     |entry| of X in [1/2, 1), so X^T X cannot overflow and lambda_max, at
     least 1/4, cannot underflow, for any finite M; the result is within
     8 units of roundoff (2^-53) of the exact norm on the tested matrices,
-    clustered top singular values included.  Raises ValueError on a
-    complex or non-finite entry, or on input of fewer than 2 dimensions.
+    clustered top singular values included.  A matrix with no rows or no
+    columns has norm 0, and one whose norm passes the largest double inf.
+    Raises ValueError on a complex or non-finite entry, or on input of
+    fewer than 2 dimensions.
     """
     m = np.asarray(matrix)
     if m.ndim < 2:
@@ -231,25 +241,35 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
         raise ValueError("operator norm of a matrix with non-finite entries")
     k = np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1][..., None, None]
     x = np.ldexp(m, -k)
-    top = np.ldexp(np.sqrt(np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)[..., -1]), k[..., 0, 0])
+    gram = np.swapaxes(x, -1, -2) @ x  # max with initial 0: no column, norm 0
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf
+        top = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0)), k[..., 0, 0])
     return float(top) if m.ndim == 2 else top
 
 
 def propagator(p: Params, t: float) -> PropagatorSample:
     """Propagator S(t) = exp(t*A) in closed form (see the module docstring).
 
-    Rejects negative or non-finite t, and raises IntegrationError when the
-    norm of S(t) passes 1e100.  The norm is at most 4 times the largest
-    entry, and no entry passes the coefficient bound sum |c_i| max|B_i|
-    over the four matrices B_i = I, A, A^-1, A^2, cached with them, by more
-    than rounding.  So S(t) is returned at once while that bound is at
-    most 2e99; past it, the largest entry is read, the norm is computed
-    only when that entry passes 2.5e99, and it is kept in the sample.
-    S(t) is not finite where an exponential overflows or the phase
-    |lambda| t passes 2^52.  That is an overflow only where
-    omega* t + d ln t >= ln(1e100), d the defect penalty (t > 1), or the
-    spectrum is not finite; otherwise the IntegrationError says that double
-    precision cannot resolve the step.
+    Rejects negative or non-finite t.  Each entry of S(t) is at most the
+    coefficient bound cb = sum |c_i| max|B_i| over B_i = I, A, A^-1, A^2,
+    up to rounding, and within the running error bound (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, ch. 3)
+    sigma = 2^-53 (8 + max|lambda| t max(1, min(t, kappa))) (cb + f) of
+    exact: lambda is rounded to 2^-53 |lambda|, a rounding of w moves its
+    roots m +- h up to kappa = max |m/h| times as far (at most t times in
+    the sinh form), and f = 2^-1022 sum max|B_i| covers underflowing
+    coefficients.  IntegrationError says that double precision cannot
+    resolve S(t) where sigma > 1e-6 (1 + cb); an exact phase, as
+    lambda = +-i at eps = b = 1, is refused from t = 1e10 all the same.
+
+    IntegrationError also reports a norm past 1e100, at most 4 times the
+    largest entry: S(t) is returned at once while cb <= 2e99; past it the
+    largest entry is read, and the norm, computed only when that entry
+    passes 2.5e99, is kept in the sample.  S(t) is not finite where an
+    exponential overflows or the phase |lambda| t passes 2^52: an overflow
+    only where omega* t + d ln t >= ln(1e100), d the defect penalty
+    (t > 1), or the spectrum is not finite; otherwise the IntegrationError
+    says that double precision cannot resolve the step.
     """
     if not 0.0 < t < math.inf:
         if t == 0.0:
@@ -258,11 +278,17 @@ def propagator(p: Params, t: float) -> PropagatorSample:
     structure = _structure(p.epsilon, p.b)
     c0, c1, c2, c3 = c = _coefficients(p, t, structure)
     s0, s1, s2, s3 = structure[1]
+    bound = abs(c0) * s0 + abs(c1) * s1 + abs(c2) * s2 + abs(c3) * s3
+    kappa, floor, lam = structure[7], structure[8], structure[9]
+    stretch = kappa if kappa < t else max(t, 1.0)  # max(1, min(t, kappa)), as kappa >= 1
+    sigma = 2.0**-53 * (8.0 + lam * t * stretch) * (bound + floor)
+    # a NaN or infinite bound fails this test and the next
+    if sigma > _RESOLUTION_TOL * (1.0 + bound):
+        raise IntegrationError(f"propagator S(t) cannot be resolved at double precision at "
+                               f"t={t:g}: error bound {sigma:.3e}")
     m = np.dot(c, structure[0]).reshape(4, 4)
     sample = PropagatorSample(t, m)
-    # a NaN bound or entry fails its test
-    if (abs(c0) * s0 + abs(c1) * s1 + abs(c2) * s2 + abs(c3) * s3 <= _COEFFICIENT_BOUND
-            or np.abs(m).max() <= _NORM_OVERFLOW / 4.0):
+    if bound <= _COEFFICIENT_BOUND or np.abs(m).max() <= _NORM_OVERFLOW / 4.0:
         return sample
     finite = np.isfinite(m).all()
     if not finite:
@@ -312,34 +338,6 @@ def _march(step: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
     return out.reshape((blocks * k,) + start.shape)[: n + 1]
 
 
-def _trace_gap(p: Params, dt: float, step: np.ndarray) -> float:
-    """Larger gap of tr S^k from the sum of exp(k lambda dt), k = 1, 2, each
-    relative to 1 + the sum of |exp(k lambda dt)|, lambda from the closed form.
-
-    Traces do not see the Jordan structure, so defective steps compare
-    exactly.
-    """
-    with np.errstate(all="ignore"):  # a NaN gap fails the caller's check
-        e = np.exp(palindromic_roots(p.epsilon, p.b) * dt)
-        return float(max(abs(np.trace(s) - np.sum(f)) / (1.0 + np.sum(np.abs(f)))
-                         for s, f in ((step, e), (step @ step, e * e))))
-
-
-def _step(p: Params, dt: float) -> np.ndarray:
-    """The step S(dt) from :func:`propagator`, refused as too long to resolve
-    when its :func:`_trace_gap` from the closed-form spectrum passes 1e-6.
-
-    The gap counts as at least 2^-52 max |lambda| dt: the step and the
-    spectrum round lambda alike, so their traces cannot show that phase error.
-    """
-    step = propagator(p, dt).matrix
-    # the trace gap first, so that max keeps a NaN
-    gap = max(_trace_gap(p, dt, step), _structure(p.epsilon, p.b)[-1] * dt / _PHASE_CAP)
-    if not gap <= _TRACE_GAP_CAP:
-        raise IntegrationError(f"step too long to resolve at dt={dt:g}: trace gap {gap:.3e}")
-    return step
-
-
 def integrate(
     p: Params,
     z0: State,
@@ -353,8 +351,8 @@ def integrate(
     steps.  As (A + A^T)/2 = diag(0, -1, 0, epsilon), the Gram matrix of
     epsilon*y^2 - x^2 over a step is W = (S^T S - I)/2, and ``dissipated``
     sums z_m^T W z_m.  Raises IntegrationError when the norm of S or of a
-    state passes 1e100, and for a step too long to resolve: one whose
-    :func:`_trace_gap` from the closed-form spectrum passes 1e-6.
+    state passes 1e100, and with :func:`propagator`'s message for a step
+    that its error bound cannot resolve.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -362,7 +360,7 @@ def integrate(
         raise ValueError(f"samples must be >= 1, got {samples}")
 
     dt = t_end / samples
-    step = _step(p, dt)
+    step = propagator(p, dt).matrix
     gram = 0.5 * (step.T @ step - np.eye(4))
 
     times = np.linspace(0.0, t_end, samples + 1)
@@ -471,9 +469,8 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     it stays well under the 1e100 overflow guard.
 
     The grid is stepped exactly, S(t + dt) = S(dt) S(t), from S(t_max/2)
-    by :func:`propagator` with the step S(dt) that :func:`integrate` takes,
-    checked against the closed-form spectrum; the norms come from one
-    :func:`operator_norm` call on the stack.
+    by :func:`propagator` with the step S(dt) that :func:`integrate` takes;
+    the norms come from one :func:`operator_norm` call on the stack.
 
     When the dominant eigenvalues are regular and complex, the norm
     oscillates periodically around its envelope and a plain least-squares
@@ -487,10 +484,9 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
     Raises ValueError unless ``t_max`` is finite and > 0, and FitError if
     a sampled norm exceeds 1e100 or underflows to 0, if S(t_max/2) or the
     step cannot be resolved at double precision (the message is
-    :func:`propagator`'s or :func:`integrate`'s), if the fit or a refit
-    has rank below 3 (a window so short that lstsq cannot tell log(1+t)
-    from t, or either from a constant), or if the fit residual exceeds
-    ``_MAX_RMS`` = 1.
+    :func:`propagator`'s), if the fit or a refit has rank below 3 (a window
+    so short that lstsq cannot tell log(1+t) from t, or either from a
+    constant), or if the fit residual exceeds ``_MAX_RMS`` = 1.
     """
     if t_max is None:
         regime = classify(p)
@@ -500,7 +496,7 @@ def norm_growth_fit(p: Params, t_max: float | None = None) -> FitResult:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     ts, dt = np.linspace(t_max / 2.0, t_max, _FIT_SAMPLES, retstep=True)
     try:
-        start, step = propagator(p, t_max / 2.0).matrix, _step(p, dt)
+        start, step = propagator(p, t_max / 2.0).matrix, propagator(p, dt).matrix
     except IntegrationError as exc:
         raise FitError(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
@@ -553,8 +549,10 @@ def periodic_portrait_check(b: float) -> tuple[bool, float]:
     ``_RECURRENCE_TOL`` = 1e-6 at T, with S(T) from :func:`propagator`;
     an aperiodic one must not recur at any t >= 0.5 on the 1,024 steps of
     :func:`integrate` over [0, ``_SCAN_T_MAX``] = [0, 200].  Violations,
-    and the errors of either engine (a NaN or overflowing S(T), a scan step
-    too long to resolve), raise IntegrationError; ValueError unless b > 1 is finite.
+    and the errors of either engine, raise IntegrationError: an S(T) or
+    scan step that :func:`propagator` cannot resolve at double precision
+    (most b past a few hundred, whose periods are long), or a NaN or
+    overflowing one.  ValueError unless b > 1 is finite.
     """
     if not (b > 1.0 and math.isfinite(b)):
         raise ValueError(f"periodicity check requires finite b > 1, got {b}")

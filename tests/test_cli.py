@@ -263,7 +263,8 @@ def test_figure_step_too_long_to_resolve_is_a_numerical_failure(tmp_path, capsys
     argv = ["figure", "fig6", "--t-end", "1e17", "--out", str(tmp_path / "f6")]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("numerical failure: step too long to resolve at dt=8.33333e+13")
+    assert err.startswith(
+        "numerical failure: propagator S(t) cannot be resolved at double precision at t=8.33333e+13")
 
 
 @pytest.mark.parametrize("b", ["1e-170", "5e-324"])

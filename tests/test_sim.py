@@ -104,6 +104,27 @@ def test_operator_norm_degenerate_inputs():
     assert operator_norm(np.eye(4) * 2.0**1020) == 2.0**1020
 
 
+@pytest.mark.parametrize("shape", [(4, 0), (0, 0), (2, 4, 0), (0, 4), (3, 0, 4)], ids=str)
+def test_operator_norm_of_a_matrix_with_no_rows_or_columns_is_zero(shape):
+    # as np.linalg.norm(., 2); (4, 0), (0, 0) and (2, 4, 0) raised IndexError
+    got = operator_norm(np.zeros(shape))
+    if len(shape) == 2:
+        assert type(got) is float and got == 0.0 == np.linalg.norm(np.zeros(shape), 2)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == shape[:1] and np.all(got == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_operator_norm_past_the_largest_double_is_inf_without_warnings():
+    # the entries are finite, the norm 4e308 is not; in a stack, only its own norm is inf
+    assert operator_norm(np.full((4, 4), 1e308)) == math.inf
+    got = operator_norm(np.stack([np.full((4, 4), 1e308), np.eye(4)]))
+    assert got.tolist() == [math.inf, 1.0]
+    # at t = 246.68 the entries of S(t) pass 1e100 while they are finite
+    with pytest.raises(IntegrationError, match="^propagator norm inf exceeds overflow guard at t=246.683$"):
+        propagator(Params(3.224322921535739, 3.244766137584331e-68), 246.68294624829323)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_operator_norm_rejects_non_finite_input(bad):
     m = np.eye(4)
@@ -640,12 +661,9 @@ def test_integrate_step_whose_bound_overflows_raises_integration_error():
 def test_integrate_rejects_steps_too_long_to_resolve(p, z0):
     # bounded regime, dt = 8.3e13: the step's energy change and z^T W z
     # disagree by 1e-3 or more of the energy, and the energies are wrong
-    with pytest.raises(IntegrationError, match="step too long to resolve"):
+    with pytest.raises(IntegrationError, match="^propagator S\\(t\\) cannot be resolved at double "
+                       "precision at t=8.33333e\\+13: error bound"):
         integrate(p, z0, 1e17, samples=1200)
-
-
-def test_integrate_trace_gap_bound_is_pinned():
-    assert sim._TRACE_GAP_CAP == 1e-6
 
 
 @pytest.mark.parametrize("eps, b, t_end, samples", [(5.0, 1.0, 40.0, 4),
@@ -657,35 +675,6 @@ def test_integrate_resolves_exact_blowup_steps(eps, b, t_end, samples):
     traj = integrate(p, z0, t_end, samples=samples)
     want = propagator(p, t_end).matrix @ z0.as_array()
     assert np.abs(traj.states[-1] - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("delta, flagged", [(1e-5, True), (1e-8, False)])
-def test_integrate_flags_a_scaled_step(monkeypatch, delta, flagged):
-    # S(t) is linear in its coefficients: scaling them scales the step
-    inner = sim._coefficients
-    monkeypatch.setattr(sim, "_coefficients", lambda *a: tuple(c * (1.0 + delta) for c in inner(*a)))
-    p, z0 = Params(0.5, 0.75), State(1, 0, 0, 0)
-    if flagged:
-        with pytest.raises(IntegrationError, match="step too long to resolve at dt=0.05: trace gap"):
-            integrate(p, z0, 10.0, samples=200)
-    else:
-        integrate(p, z0, 10.0, samples=200)
-
-
-@pytest.mark.filterwarnings("error")
-def test_integrate_reports_a_nan_trace_gap_without_warnings(monkeypatch):
-    # a finite step while exp(lambda dt) overflows, so the gap is NaN; the
-    # closed form never gives such a step, so the propagator is stubbed
-    monkeypatch.setattr(sim, "propagator", lambda p, t: sim.PropagatorSample(t=t, matrix=np.eye(4)))
-    with pytest.raises(IntegrationError, match="trace gap nan"):
-        integrate(Params(2.0, 1.0), State(1, 0, 0, 0), 1e7)
-
-
-@pytest.mark.parametrize("p, dt", [(p, 0.05) for p in SIM_GRID]
-                         + [(Params(0.5, 1.0), t / 1200) for t in (1e6, 1e8)], ids=repr)
-def test_integrate_trace_gap_is_at_rounding_level(p, dt):
-    # the SIM_GRID steps of 10 time units on 200 samples, and fig8's long windows
-    assert sim._trace_gap(p, dt, propagator(p, dt).matrix) <= 1e-12
 
 
 def test_integrate_matches_explicit_solution_over_long_window():
@@ -952,8 +941,9 @@ def test_norm_growth_fit_takes_its_start_and_step_from_propagator(monkeypatch):
 
 
 @pytest.mark.parametrize("p, t_max, message", [
-    # a bounded system whose step of 1.25e11 misses its traces by 7.4e-5
-    (Params(1.0, 2.0), 1e14, "step too long to resolve at dt=1.25313e+11: trace gap"),
+    # a bounded system whose start S(5e13) is off by 2.6e-3 of 1 + max|S|
+    # (mpmath); its step S(1.25e11) is refused too
+    (Params(1.0, 2.0), 1e14, "cannot be resolved at double precision at t=5e+13: error bound 3.616e-02"),
     # S(100) of a bounded system is NaN: not an overflow
     (Params(1.0, 1e22), None, "not finite at t=100: the step cannot be resolved"),
     # decay past the smallest double
@@ -1051,6 +1041,24 @@ def test_periodicity_verdict_for_generic_coupling_is_not_a_crash():
     # declares it periodic, and the recurrence check then raises
     for b in np.random.default_rng(17).uniform(1.01, 30.0, 100):
         periodic_portrait_check(float(b))
+
+
+def test_periodicity_at_large_coupling_gives_a_verdict_or_refuses_an_unresolvable_period():
+    # past b of a few hundred the ratio test cannot tell rational ratios from
+    # irrational ones, and the predicted periods reach 1e8 and more, where
+    # S(T) is past propagator's error bound: a refusal is the typed outcome
+    outcomes = {"periodic": 0, "aperiodic": 0, "refused": 0}
+    for b in (10.0 ** np.random.default_rng(7).uniform(math.log10(300.0), math.log10(3e4), 200)).tolist():
+        try:
+            periodic, period = periodic_portrait_check(b)
+        except IntegrationError as exc:
+            assert re.fullmatch(r"propagator S\(t\) cannot be resolved at double precision "
+                                r"at t=\S+: error bound \S+", str(exc)), (b, str(exc))
+            outcomes["refused"] += 1
+            continue
+        assert periodic == math.isfinite(period)
+        outcomes["periodic" if periodic else "aperiodic"] += 1
+    assert outcomes == {"periodic": 10, "aperiodic": 33, "refused": 157}
 
 
 def test_periodicity_nan_recurrence_gap_raises_without_warnings():
@@ -1275,3 +1283,87 @@ def test_propagator_is_exact_at_the_defective_point_over_nine_decades():
         want = explicit_propagator_eps1_b1(10.0**k)
         got = propagator(p, 10.0**k).matrix
         assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max()), k
+
+
+def error_bound(p: Params, t: float) -> tuple[float, float]:
+    """The error bound sigma of S(t), t > 0, and the coefficient bound cb,
+    as :func:`propagator` computes them."""
+    structure = sim._structure(p.epsilon, p.b)
+    kappa, floor, lam = structure[7:]
+    cb = unguarded(p, t)[1]
+    assert kappa >= 1.0 and floor == 2.0**-1022 * sum(structure[1])
+    return 2.0**-53 * (8.0 + lam * t * max(1.0, min(t, kappa))) * (cb + floor), cb
+
+
+def _error_bound_grid() -> list[tuple[Params, float]]:
+    """Seeded (p, t): b on and near b = (1+eps)/2 and b^2 = 3 eps - 6, near
+    sqrt(eps), and log-uniform in [1e-2, 1e3]; t log-uniform in [1e-3, 1e9],
+    and under 150/omega* where S(t) grows, so that it stays under the
+    overflow guard.  Then the named points: the long steps of bounded
+    systems, (1, 1) and a (1+eps)/2 whose 1 + eps rounds, coefficients that
+    underflow, and the short and long steps of integrate's tests."""
+    rng = np.random.default_rng(31)
+
+    def near(x):  # x, or x moved by a relative 1e-12 to 1e-3 either way
+        return x * (1.0 + rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-12, -3))
+
+    def eps():
+        return (0.0, 0.5, 1.0, 2.0, 10.0 ** rng.uniform(-3, 1))[rng.integers(5)]
+
+    params = [Params(e, near(0.5 * (1.0 + e))) for e in [eps() for _ in range(40)]]
+    params += [Params(e, near(math.sqrt(3.0 * e - 6.0))) for e in rng.uniform(2.1, 10.0, 30).tolist()]
+    params += [Params(e, near(math.sqrt(e))) for e in (10.0 ** rng.uniform(-3, 1, 30)).tolist()]
+    params += [Params(eps(), 10.0 ** rng.uniform(-2, 3)) for _ in range(60)]
+    grid = []
+    for p in params:
+        rate = classify(p).omega_star
+        grid.append((p, 10.0 ** rng.uniform(-3, 9 if rate <= 0.0 else min(9.0, math.log10(150.0 / rate)))))
+    grid += [(Params(1.0, 2.0), t) for t in (1e8, 5e13, 1e14 / 2.0 / 399.0)]
+    grid += [(Params(1.0, 20.0), 8.3e13), (Params(1.0, 1.0), 1e9), (Params(1.0, 1.0), 1e10)]
+    grid += [(Params(1.0 + 2.0**-52, b), 1e8) for b in (1.0, 1.0 + 2.0**-52)]
+    grid += [(Params(0.02384761392262357, 328.9915444247164), 162585259.7864938)]
+    grid += [(p, 0.05) for p in SIM_GRID] + [(Params(0.5, 1.0), t / 1200.0) for t in (1e6, 1e8)]
+    return grid
+
+
+def test_propagator_is_within_8_error_bounds_of_mpmath_or_refuses():
+    # sigma bounds the entries' error where propagator returns, and a
+    # refusal is sigma's (no point here overflows)
+    returned = refused = 0
+    for p, t in _error_bound_grid():
+        sigma, cb = error_bound(p, t)
+        try:
+            got = propagator(p, t).matrix
+        except IntegrationError as exc:
+            assert sigma > 1e-6 * (1.0 + cb), (p, t, sigma, cb)
+            assert str(exc) == ("propagator S(t) cannot be resolved at double precision at "
+                                f"t={t:g}: error bound {sigma:.3e}")
+            refused += 1
+            continue
+        err = float(np.abs(got - _mpmath_exponential(p, t)).max())
+        assert err <= 8.0 * sigma, (p, t, err / sigma)
+        returned += 1
+    assert returned >= 150 and refused >= 4, (returned, refused)
+
+
+@pytest.mark.parametrize("p, t, sigma", [(Params(1.0, 2.0), 5e13, "3.616e-02"),
+                                         (Params(1.0, 20.0), 8.3e13, "3.731e-01"),
+                                         (Params(1.0, 1.0), 1e10, "1.511e+04")], ids=repr)
+def test_propagator_refuses_a_phase_it_cannot_resolve(p, t, sigma):
+    # off by 2.6e-3 and 0.09 of 1 + max|S| (mpmath) at (1, 2) and (1, 20);
+    # exact at (1, 1), whose lambda = +-i is exact in binary, and refused there too
+    with pytest.raises(IntegrationError) as info:
+        propagator(p, t)
+    assert str(info.value) == ("propagator S(t) cannot be resolved at double precision at "
+                               f"t={t:g}: error bound {sigma}")
+
+
+@pytest.mark.parametrize("b", [1.0, 1.0 + 2.0**-52])
+def test_propagator_keeps_its_digits_where_one_plus_eps_rounds(b):
+    # 1 + eps rounds to 2 at eps = 1 + 2^-52, and (1+eps)/2 - b formed from it
+    # cancels to 0 or 2^-52: a split of the double root off by 41%, and S(1e8)
+    # off by 9% of 1 + max|S|; the exact 1 + eps gives it to within 1e-8
+    p = Params(1.0 + 2.0**-52, b)
+    assert abs(sim._structure(p.epsilon, p.b)[3]) == pytest.approx(2.0**-25, rel=1e-12, abs=0.0)
+    want = _mpmath_exponential(p, 1e8)
+    assert _relative_error(propagator(p, 1e8).matrix, want) <= 1e-8

@@ -214,6 +214,91 @@ def test_exponentials_and_marches_run_only_where_designed(callee):
     assert {module: names for module, names in found.items() if names} == DESIGNED_CALLERS[callee]
 
 
+def readers(source: str, name: str) -> list[str]:
+    """Top-level defs and classes whose bodies read ``name``, as a plain
+    name or an attribute, and ``<module>`` for a read outside all of them."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            if name in (getattr(sub, "id", None), getattr(sub, "attr", None)) and isinstance(
+                getattr(sub, "ctx", None), ast.Load
+            ):
+                found.add(owner)
+    return sorted(found)
+
+
+def test_reader_check_finds_plain_attribute_and_module_level_reads_only():
+    source = (
+        "_CAP, _OTHER = 1e-6, 2\n"
+        "def f(x):\n    return x < _CAP\n"
+        "def g(x):\n    _CAP = 3\n    return x\n"
+        "def h(m):\n    return m._CAP, _CAPS, _CAP_\n"
+        "class C:\n    limit = _CAP\n"
+        "y = [_CAP]\n"
+    )
+    assert readers(source, "_CAP") == ["<module>", "C", "f", "h"]
+
+
+# one accuracy rule: propagator alone reads the resolution tolerance, and
+# _coefficients alone the phase cap past which it gives NaN
+DESIGNED_READERS = {
+    "_RESOLUTION_TOL": {"sim": ["propagator"]},
+    "_PHASE_CAP": {"sim": ["_coefficients"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNED_READERS))
+def test_accuracy_limits_are_read_only_where_designed(name):
+    found = {path.stem: readers(path.read_text(), name) for path in SOURCES}
+    assert {module: names for module, names in found.items() if names} == DESIGNED_READERS[name]
+
+
+# NumPy 2.x additions that NumPy 1.24-1.26 lacks: functions of numpy and
+# numpy.linalg, and array attributes
+NUMPY_2_FUNCTIONS = {
+    "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh", "bitwise_invert",
+    "bitwise_left_shift", "bitwise_right_shift", "concat", "cumulative_prod", "cumulative_sum",
+    "isdtype", "matrix_norm", "matrix_transpose", "matvec", "permute_dims", "pow", "svdvals",
+    "unique_all", "unique_counts", "unique_inverse", "unique_values", "vecdot", "vecmat",
+    "vector_norm",
+}
+NUMPY_2_ATTRIBUTES = {"mT", "device", "to_device"}
+NUMPY_MODULES = {"np", "numpy", "np.linalg", "numpy.linalg"}
+
+
+def numpy_2_uses(source: str) -> list[str]:
+    """NumPy-2-only names a source uses: ``np.vecdot``, ``x.mT``,
+    ``from numpy import vecdot`` and the like."""
+    found = []
+    for sub in ast.walk(ast.parse(source)):
+        if isinstance(sub, ast.Attribute):
+            base = ast.unparse(sub.value)
+            if sub.attr in NUMPY_2_ATTRIBUTES or base in NUMPY_MODULES and sub.attr in NUMPY_2_FUNCTIONS:
+                found.append(f"{base}.{sub.attr}")
+        elif isinstance(sub, ast.ImportFrom) and sub.module in NUMPY_MODULES:
+            found += [f"{sub.module}.{a.name}" for a in sub.names if a.name in NUMPY_2_FUNCTIONS]
+    return sorted(found)
+
+
+def test_numpy_2_check_flags_functions_attributes_and_imports_only():
+    source = (
+        "import math\nimport numpy as np\nfrom numpy.linalg import vector_norm, norm\n"
+        "def f(x):\n    return x.mT @ x, np.linalg.matrix_transpose(x), np.vecdot(x, x)\n"
+        "def g(x):\n    return x.astype(float), math.pow(2, 3), np.swapaxes(x, -1, -2), x.T\n"
+    )
+    assert numpy_2_uses(source) == [
+        "np.linalg.matrix_transpose", "np.vecdot", "numpy.linalg.vector_norm", "x.mT"]
+
+
+def test_the_package_runs_on_its_declared_numpy_floor():
+    # pyproject.toml declares numpy>=1.24, so src/ must not need NumPy 2
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '"numpy>=1.24"' in pyproject
+    assert {path.stem: numpy_2_uses(path.read_text()) for path in SOURCES} == {
+        path.stem: [] for path in SOURCES}
+
+
 # one owner of sigma_max, sim.operator_norm; the eigensolver oracle
 # spectrum.eigenvalue_defect keeps its own SVD rank test and 2-norm
 NORM_CALLERS = {
