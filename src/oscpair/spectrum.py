@@ -33,7 +33,10 @@ Regime map over the parameter plane:
     eps < 1, b > sqrt(eps) -> exponential decay
 
 For eps < 1 the decay rate is optimized at b = (1+eps)/2, where
-omega* = (eps-1)/4 and the dominant pair is defective with defect 1.
+omega* = (eps-1)/4 and the dominant pair is defective with defect 1, the
+closed form :func:`optimal_coupling` returns; its proof is a sympy test in
+``tests/test_spectrum.py``, which also checks the numerical search
+:func:`minimize_growth_bound` against it, as acceptance criterion 4 does.
 """
 
 from __future__ import annotations
@@ -82,8 +85,6 @@ BOUNDARY_RTOL = 1e-12
 _ZOOM = 64  # points per bracketing level of _bracket
 _LEVEL = np.arange(_ZOOM, dtype=np.int64)  # k of a level's points
 _SCAN_ULPS = 2000  # minimize_growth_bound scans every float of a bracket this narrow
-_SCAN_B_MAX = 10.0  # optimal_coupling checks its closed form on [0, _SCAN_B_MAX]
-_CHECK_WIDTH = 1e-7  # optimal_coupling narrows its bracket to this width
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -360,18 +361,19 @@ def _omega(epsilon, patterns):
     return palindromic_roots(epsilon, patterns.view(np.float64)).real.max(axis=-1)
 
 
-def _bracket(epsilon: float, lo: int, hi: int, done) -> tuple[int, int]:
+def _bracket(epsilon: float, lo: int, hi: int) -> tuple[int, int]:
     """Bracket the first minimum of omega*(b) over the bit patterns [lo, hi]
-    of non-negative floats until ``done(lo, hi)``; returns the last (lo, hi).
+    of non-negative floats until it spans at most ``_SCAN_ULPS`` patterns;
+    returns the last (lo, hi).  :func:`minimize_growth_bound` is its one
+    caller, as ``tests/test_source.py`` pins.
 
     Bit patterns are consecutive for consecutive non-negative floats.  Each
     level evaluates the ``_ZOOM`` patterns lo + k (hi - lo) // (_ZOOM - 1)
     in one array call and keeps the neighbours of the first minimum.  With
     q, r = divmod(hi - lo, _ZOOM - 1) the pattern is lo + k q + k r // (_ZOOM - 1),
-    the same integer, formed in int64 without overflow.  Each level shrinks
-    a bracket of 64 or more patterns, so ``done`` must hold for narrower ones.
+    the same integer, formed in int64 without overflow.
     """
-    while not done(lo, hi):
+    while hi - lo > _SCAN_ULPS:
         q, r = divmod(hi - lo, _ZOOM - 1)
         patterns = lo + _LEVEL * q + (_LEVEL * r) // (_ZOOM - 1)
         k = int(np.argmin(_omega(epsilon, patterns)))
@@ -383,11 +385,6 @@ def _pattern(x: float) -> int:
     """The int64 bit pattern of a float; adding 0.0 turns -0.0, whose
     pattern is negative, into +0.0."""
     return int(np.float64(x + 0.0).view(np.int64))
-
-
-def _float(pattern: int) -> float:
-    """The float whose int64 bit pattern is ``pattern``."""
-    return float(np.int64(pattern).view(np.float64))
 
 
 def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[float, float]:
@@ -405,8 +402,7 @@ def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[flo
     """
     if not 0.0 <= b_lo < b_hi < math.inf:
         raise ValueError(f"need 0 <= b_lo < b_hi < inf, got [{b_lo!r}, {b_hi!r}]")
-    lo, hi = _bracket(epsilon, _pattern(b_lo), _pattern(b_hi),
-                      lambda lo, hi: hi - lo <= _SCAN_ULPS)
+    lo, hi = _bracket(epsilon, _pattern(b_lo), _pattern(b_hi))
     patterns = np.arange(lo, hi + 1, dtype=np.int64)
     values = _omega(epsilon, patterns)
     k = int(np.argmin(values))
@@ -416,24 +412,18 @@ def minimize_growth_bound(epsilon: float, b_lo: float, b_hi: float) -> tuple[flo
 def optimal_coupling(epsilon: float) -> tuple[float, float]:
     """Optimal coupling and best growth bound for epsilon in [0, 1).
 
-    Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4), the closed form
-    cross-checked numerically: the bracketing of :func:`minimize_growth_bound`
-    over [0, ``_SCAN_B_MAX``] = [0, 10], stopped once the bracket is at most
-    ``_CHECK_WIDTH`` = 1e-7 wide (seven levels of 64 points), contains that
-    search's exact argmin; a bracket midpoint more than 1e-6 away from
-    (1+eps)/2 raises ArithmeticError.
+    Returns (b_opt, omega*) = ((1+eps)/2, (eps-1)/4), the optimum over
+    b >= 0.  Proof: the roots of w+ sum to w+, so omega* >= Re(w+)/2 >=
+    (eps-1)/4, with equality in the second step iff b >= (1+eps)/2.  Above
+    (1+eps)/2, w+ has real part (eps-1)/2 != 0 and is not real, so
+    w+^2 - 4 is not real and the pair's real parts differ: the first step
+    is strict.  At (1+eps)/2 both steps are equalities.
+    ``test_optimal_coupling_is_the_proven_optimum`` checks each step in
+    sympy, and :func:`minimize_growth_bound` over [0, 10] returns this b and
+    omega* bit for bit.
 
-    Rejects epsilon >= 1, where no decay regime exists.
+    Rejects epsilon outside [0, 1): for epsilon >= 1 no decay regime exists.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"optimal coupling requires 0 <= epsilon < 1, got {epsilon}")
-    eta = (1.0 + epsilon) / 2.0
-    omega = (epsilon - 1.0) / 4.0
-    lo, hi = _bracket(epsilon, 0, _pattern(_SCAN_B_MAX),
-                      lambda lo, hi: _float(hi) - _float(lo) <= _CHECK_WIDTH)
-    b_mid = 0.5 * (_float(lo) + _float(hi))
-    if abs(b_mid - eta) > 1e-6:
-        raise ArithmeticError(
-            f"numerical minimizer {b_mid!r} disagrees with (1+eps)/2 = {eta!r}"
-        )
-    return eta, omega
+    return (1.0 + epsilon) / 2.0, (epsilon - 1.0) / 4.0

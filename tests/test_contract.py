@@ -81,6 +81,23 @@ def test_entry_point_returns_a_finite_answer_or_a_typed_error(name):
     assert escaped == []
 
 
+def test_optimal_coupling_returns_its_closed_form_or_a_value_error():
+    # each draw's eps, its negative and its reciprocal, then the edges of [0, 1)
+    draws = [e for eps, _, _, _ in _draws(len(CALLS)) for e in (eps, -eps, 1.0 / eps if eps else 1.0)]
+    draws += [-0.0, 1.0 - 2.0 ** -53, 1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    answered = 0
+    for eps in draws:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not 0.0 <= eps < 1.0:
+                with pytest.raises(ValueError, match="requires 0 <= epsilon < 1"):
+                    optimal_coupling(eps)
+                continue
+            assert optimal_coupling(eps) == ((1.0 + eps) / 2.0, (eps - 1.0) / 4.0), eps
+            answered += 1
+    assert answered >= 200
+
+
 # operator_norm's empty shapes are in test_sim
 @pytest.mark.parametrize("eps, b, mu, shape", [
     (np.array([]), 0.75, 1.0, (0, 4)),

@@ -201,10 +201,12 @@ def test_caller_check_finds_plain_attribute_nested_and_module_level_calls():
 
 # one exponential path: a propagator, which is also the step and the start
 # of a trajectory and of the fit; the fit and the trajectory march their own
-# grids
+# grids; and one coupling search, minimize_growth_bound's, as optimal_coupling
+# returns its proven closed form
 DESIGNED_CALLERS = {
     "_coefficients": {"sim": ["propagator"]},
     "_march": {"sim": ["integrate", "norm_growth_fit"]},
+    "_bracket": {"spectrum": ["minimize_growth_bound"]},
 }
 
 

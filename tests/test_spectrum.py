@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oscpair import spectrum
 from oscpair.core import Params, assemble_matrix
+from oscpair.modal import mode_growth_bound
 from oscpair.spectrum import (
     RegimeKind,
     branch_sqrt,
@@ -23,6 +25,8 @@ from oscpair.spectrum import (
     quartic_coeffs,
     root_defects,
 )
+
+import oracles
 
 GRID = [
     Params(i / 10.0, j / 20.0)
@@ -268,28 +272,47 @@ def test_optimal_coupling_reference_values():
     assert omega == pytest.approx(-0.0025, abs=1e-15)
 
 
-def test_optimal_coupling_raises_when_the_search_disagrees_with_the_closed_form(monkeypatch):
-    at = spectrum._pattern(0.76)
-    monkeypatch.setattr(spectrum, "_bracket", lambda eps, lo, hi, done: (at, at))
-    with pytest.raises(ArithmeticError, match="minimizer 0.76 disagrees with .* = 0.75"):
-        optimal_coupling(0.5)
+def test_optimal_coupling_is_the_proven_optimum():
+    """omega*(b) > (eps-1)/4 for every b >= 0 but b = (1+eps)/2, where it is
+    equal: the proof that lets optimal_coupling return its closed form.
 
-
-@pytest.mark.parametrize("shift,raises", [(1.2e-6, True), (-1.2e-6, True), (8e-7, False), (-8e-7, False)])
-def test_optimal_coupling_catches_a_closed_form_moved_by_its_tolerance(monkeypatch, shift, raises):
-    # the search moved by -shift is the closed form moved by shift against it
-    bracket = spectrum._bracket
-
-    def moved(epsilon, lo, hi, done):
-        return tuple(spectrum._pattern(spectrum._float(x) - shift) for x in bracket(epsilon, lo, hi, done))
-
-    monkeypatch.setattr(spectrum, "_bracket", moved)
-    for eps in (0.0, 0.5, 0.99):
-        if raises:
-            with pytest.raises(ArithmeticError, match="disagrees"):
-                optimal_coupling(eps)
-        else:
-            assert optimal_coupling(eps) == ((1.0 + eps) / 2.0, (eps - 1.0) / 4.0)
+    eps = h/(1+h) runs over [0, 1) as h runs over [0, inf), and
+    b = (1+eps) u/2 over [0, inf) with u; u = 1/(1+k) and u = 1+k, k > 0,
+    are the couplings below and above (1+eps)/2.
+    """
+    sp = pytest.importorskip("sympy")
+    h, lam, u, b = sp.symbols("h lam u b", nonnegative=True)
+    k, y = sp.Symbol("k", positive=True), sp.Symbol("y", real=True)
+    eps = h / (1 + h)
+    a2 = (1 + eps) ** 2 - 4 * b**2  # a^2, a = w+ - w-
+    w_plus, w_minus = (eps - 1 + sp.sqrt(a2)) / 2, (eps - 1 - sp.sqrt(a2)) / 2
+    quartic = sum(c * lam ** (4 - j) for j, c in enumerate(oracles.quartic(eps, b)))
+    # the quartic is (lam^2 - w+ lam + 1)(lam^2 - w- lam + 1), and the pair of
+    # roots of each factor sums to its w: so omega* >= Re(w+)/2
+    pairs = (lam**2 - w_plus * lam + 1) * (lam**2 - w_minus * lam + 1)
+    assert sp.simplify(sp.expand(pairs - quartic)) == 0
+    w = sp.Symbol("w")
+    assert sp.simplify(sum(sp.roots(lam**2 - w * lam + 1, lam, multiple=True)) - w) == 0
+    a2 = sp.factor(a2.subs(b, (1 + eps) * u / 2))
+    # below (1+eps)/2, a > 0: Re(w+) = (eps-1)/2 + a/2 > (eps-1)/2
+    assert sp.factor(a2.subs(u, 1 / (1 + k))).is_positive
+    # above it, a = i |a|: Re(w+) = (eps-1)/2 and Im(w+) = |a|/2 > 0, so
+    # Im(w+^2 - 4) = 2 Re(w+) Im(w+) != 0, as eps < 1.  A number whose real
+    # part is 0 squares to a real one, so sqrt(w+^2 - 4) has a non-zero real
+    # part, and one root (w+ +- sqrt(w+^2 - 4))/2 lies right of (eps-1)/4
+    above = sp.factor(a2.subs(u, 1 + k))
+    assert above.is_negative
+    w_above = (eps - 1) / 2 + sp.I * sp.sqrt(-above) / 2
+    assert sp.factor(sp.im(sp.expand(w_above**2 - 4))).is_negative
+    assert sp.im(sp.expand((sp.I * y) ** 2)) == 0
+    # at (1+eps)/2, a = 0 and w+ = w- = (eps-1)/2 with 4 - w^2 > 0: both
+    # pairs are (w +- i sqrt(4 - w^2))/2, of real part (eps-1)/4
+    assert a2.subs(u, 1) == 0
+    w_opt = (eps - 1) / 2
+    assert sp.factor(4 - w_opt**2).is_positive
+    for root in ((w_opt + sp.I * sp.sqrt(4 - w_opt**2)) / 2, (w_opt - sp.I * sp.sqrt(4 - w_opt**2)) / 2):
+        assert sp.simplify(sp.expand(root**2 - w_opt * root + 1)) == 0
+        assert sp.simplify(sp.re(root) - (eps - 1) / 4) == 0
 
 
 # 200 log-uniform values in [1e-6, 0.999], and the ends of [0, 1)
@@ -311,35 +334,28 @@ def recorded_couplings(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def test_optimal_coupling_bracket_holds_the_exact_argmin(monkeypatch):
-    brackets = []
-    bracket = spectrum._bracket
-
-    def recording(*args):
-        brackets.append(bracket(*args))
-        return brackets[-1]
-
-    monkeypatch.setattr(spectrum, "_bracket", recording)
-    for eps in ORACLE_EPS:
-        optimal_coupling(eps)
-        lo, hi = (spectrum._float(x) for x in brackets[-1])
-        b_opt, _ = minimize_growth_bound(eps, 0.0, 10.0)
-        assert lo <= b_opt <= hi and hi - lo <= 1e-7, eps
-
-
-def test_optimal_coupling_work_is_bounded(monkeypatch):
+def test_optimal_coupling_is_its_closed_form_and_evaluates_no_spectrum(monkeypatch):
     calls = recorded_couplings(monkeypatch)
     for eps in ORACLE_EPS:
-        calls.clear()
-        optimal_coupling(eps)
-        assert len(calls) <= 7 and max(np.size(b) for b in calls) <= 64, eps
+        assert optimal_coupling(eps) == ((1.0 + eps) / 2.0, (eps - 1.0) / 4.0), eps
+    assert calls == []
 
 
-@pytest.mark.parametrize("b_lo,b_hi", [(0.0, 10.0), (0.0, 1e300), (1e-9, 2e-9), (0.7, 0.70000000000001)])
+def test_search_and_growth_bound_meet_the_closed_form_exactly():
+    # bit for bit, not to a tolerance
+    for eps in ORACLE_EPS:
+        b_opt, omega = optimal_coupling(eps)
+        assert minimize_growth_bound(eps, 0.0, 10.0) == (b_opt, omega), eps
+        assert growth_bound(Params(eps, b_opt)) == omega, eps
+
+
+# (0.7, 0.7000000000003) spans just over _SCAN_ULPS floats: one level
+@pytest.mark.parametrize("b_lo,b_hi", [(0.0, 10.0), (0.0, 1e300), (1e-9, 2e-9), (0.7, 0.7000000000003)])
 def test_bracket_levels_equal_the_python_int_grid(monkeypatch, b_lo, b_hi):
     levels = recorded_couplings(monkeypatch)
     lo, hi = spectrum._pattern(b_lo), spectrum._pattern(b_hi)
-    spectrum._bracket(0.5, lo, hi, lambda lo, hi: hi - lo < 64)
+    lo, hi = spectrum._bracket(0.5, lo, hi)
+    assert 0 < hi - lo <= spectrum._SCAN_ULPS
     assert levels and [levels[0][0], levels[0][-1]] == [b_lo, b_hi]
     for b in levels:
         patterns = b.view(np.int64).tolist()
@@ -788,3 +804,103 @@ def test_eigenvalue_defect_decides_at_the_public_tolerances(monkeypatch):
     monkeypatch.setattr(spectrum, "CLUSTER_TOL", 1e-12)  # splits the defective double root
     with pytest.raises(ValueError, match="within tolerance 1e-12"):
         eigenvalue_defect(m, 1j)
+
+
+# ---------------------------------------------------------------------------
+# exact oracles: Hurwitz determinants, discriminant, regimes of float inputs
+# ---------------------------------------------------------------------------
+
+def test_hurwitz_determinants_and_discriminant_factorization():
+    sp = pytest.importorskip("sympy")
+    eps, b, mu, lam = sp.symbols("eps b mu lam", real=True)
+    coeffs = oracles.quartic(eps, b, mu)
+    minors = oracles.hurwitz_minors(coeffs)
+    delta3 = mu * (1 - eps) ** 2 * (b**2 - eps)
+    closed = [1 - eps, (1 - eps) * (b**2 - eps + mu), delta3, mu**2 * delta3]
+    assert [sp.expand(d - want) for d, want in zip(minors, closed)] == [0, 0, 0, 0]
+    last = (b**2 - eps) ** 2 + 4 * mu * (2 * b**2 - eps**2 - 1) + 16 * mu**2
+    disc = sp.discriminant(sum(c * lam ** (4 - k) for k, c in enumerate(coeffs)), lam)
+    assert sp.expand(disc - mu**2 * (2 * b - eps - 1) ** 2 * (2 * b + eps + 1) ** 2 * last) == 0
+    # the last factor is q(r) q(-r), r = 2 sqrt(mu), for the quadratic q in w
+    r = 2 * sp.sqrt(mu)
+    q = sp.Lambda(sp.Symbol("w"), sp.Symbol("w") ** 2 + (1 - eps) * sp.Symbol("w") + b**2 - eps)
+    assert sp.expand(q(r) * q(-r) - last) == 0
+    assert sp.expand(last.subs(mu, 1) - (b**2 + eps + 2) * (b**2 - 3 * eps + 6)) == 0
+    # Lienard-Chipart: for mu > 0 every minor is positive iff eps < 1 and
+    # b^2 > eps, whatever mu; eps >= 1 makes Delta1 <= 0, and b^2 <= eps
+    # with eps < 1 makes Delta3 <= 0
+    g, m = sp.symbols("g m", positive=True)
+    h = sp.Symbol("h", nonnegative=True)
+    decay = {eps: 1 - g, b: sp.sqrt(1 - g + g * m), mu: m}
+    assert all(sp.factor(d.subs(decay)).is_positive for d in minors)
+    assert sp.factor(minors[0].subs(eps, 1 + h)).is_nonpositive
+    assert sp.factor(minors[2].subs({eps: 1 - g, b: sp.sqrt(1 - g - h), mu: m})).is_nonpositive
+
+
+def sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+KIND_SIGN = {RegimeKind.EXP_DECAY: -1, RegimeKind.BOUNDED_NON_DECAYING: 0,
+             RegimeKind.POLY_BLOWUP: 0, RegimeKind.EXP_BLOWUP: 1}
+
+
+def _near_curves(mp, rng):
+    """One seeded float (eps, b) next to each relation that decides a kind or
+    a defect at mu = 1, with the exact relative distance rho from it in the
+    variable it is decided on, and the exact point of the relation it snaps to.
+
+    The eps ranges keep each family away from the others' relations: b = sqrt(eps)
+    meets b = (1+eps)/2 at eps = 1, and b^2 = 3 eps - 6 touches it at eps = 5,
+    which has a family of its own."""
+    offset = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -6.0))
+    F = Fraction
+    eps = float(10.0 ** rng.uniform(-6.0, math.log10(0.99)))
+    b = math.sqrt(eps) * (1.0 + offset)
+    yield eps, b, abs(mp.mpf(b) / mp.sqrt(eps) - 1), (F(b) ** 2, F(b))
+    eps, b = 1.0 + offset, float(10.0 ** (rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0)))
+    yield eps, b, abs(mp.mpf(eps) - 1), (F(1), F(b))
+    b = 1.0 + offset
+    yield 1.0, b, abs(mp.mpf(b) - 1), (F(1), F(1))
+    eps = float(rng.choice([rng.uniform(0.0, 0.99), rng.uniform(1.01, 4.5)]))
+    b = 0.5 * (1.0 + eps) * (1.0 + offset)
+    yield eps, b, abs(mp.mpf(b) / ((1 + mp.mpf(eps)) / 2) - 1), (F(eps), (1 + F(eps)) / 2)
+    eps = float(rng.choice([rng.uniform(2.5, 4.5), rng.uniform(5.5, 50.0)]))
+    b = math.sqrt(3.0 * eps - 6.0) * (1.0 + offset)
+    yield eps, b, abs(mp.mpf(b) / mp.sqrt(3 * mp.mpf(eps) - 6) - 1), ((F(b) ** 2 + 6) / 3, F(b))
+    b = 3.0 * (1.0 + offset)
+    yield 5.0, b, abs(mp.mpf(b) / 3 - 1), (F(5), F(3))
+
+
+def test_regime_and_defects_of_floats_next_to_every_relation_are_exact_or_snapped():
+    """Beyond the snap band classify's kind and the sign of its omega*,
+    root_defects and dominant_defects equal the exact answer of oracles, as
+    does the sign of the raw mode_growth_bound beyond 4 BOUNDARY_RTOL; within
+    the band the snapped ones give the answer at the point of the relation.
+    Each relation is decided on a float that rounds, so within 1% of
+    BOUNDARY_RTOL either answer is taken."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    counts = {"exact": 0, "snapped": 0, "either": 0}
+    with mp.workdps(60):
+        for _ in range(100):
+            mu = float(10.0 ** rng.uniform(-6.0, 6.0))
+            for eps, b, rho, on in _near_curves(mp, rng):
+                p = Params(eps, b)
+                roots, defects = palindromic_roots(eps, b), root_defects(eps, b)
+                regime = classify(p)
+                got = (regime.kind, sign(regime.omega_star), tuple(defects.tolist()),
+                       int(dominant_defects(roots, defects)), regime.defect_penalty)
+                answers = {}
+                for name, (e, c) in (("exact", (eps, b)), ("snapped", on)):
+                    kind = oracles.kind(e, c)
+                    dominant = oracles.dominant_defect(e, c)
+                    answers[name] = (kind, KIND_SIGN[kind], oracles.defects(e, c), dominant, dominant)
+                band = ("exact" if rho > 1.01 * spectrum.BOUNDARY_RTOL else
+                        "snapped" if rho < 0.99 * spectrum.BOUNDARY_RTOL else "either")
+                counts[band] += 1
+                assert got in ([answers[band]] if band != "either" else answers.values()), (eps, b)
+                if rho > 4 * spectrum.BOUNDARY_RTOL:
+                    assert sign(mode_growth_bound(mu, p)) == KIND_SIGN[oracles.kind(eps, b, mu)], (eps, b, mu)
+    assert min(counts["exact"], counts["snapped"]) >= 200, counts
+
